@@ -22,8 +22,8 @@
 //! ## Concurrency design
 //!
 //! Node storage is a **persistent chunk store**: node `id` lives in slot
-//! `id % 64` of chunk `id / 64`, and each chunk is an immutable-once-shared
-//! `Arc<NodeChunk>`. The steady-state read path (the lazy tables) never
+//! `id % CHUNK_SIZE` of chunk `id / CHUNK_SIZE`; each chunk is an
+//! immutable-once-shared `Arc<NodeChunk>` of `Arc`'d nodes. The steady-state read path (the lazy tables) never
 //! touches the store at all — it reads the epoch-published
 //! [`TableSnapshot`] — while the accessor methods (`try_node`, `size`, …)
 //! take one store-wide `RwLock` read.
@@ -32,10 +32,11 @@
 //! GC) is funnelled through one internal `Mutex` (the *writer*), which
 //! additionally owns the kernel index, the work counters and the reusable
 //! scratch buffers; node writes go through the store's write lock and
-//! **copy a chunk on write** only when it is still shared with another
-//! fork. Lock order is always inner mutex → store lock → published lock,
-//! one at a time, so writers serialize among themselves and cannot
-//! deadlock.
+//! **copy on write** at two levels: a chunk still shared with another
+//! fork is copied as an array of node pointers, and a node still shared
+//! is deep-copied by the one node write point, `NodeChunk::update`. Lock
+//! order is always inner mutex → store lock → published lock, one at a
+//! time, so writers serialize among themselves and cannot deadlock.
 //!
 //! ## Bulk expansion (parallel warm)
 //!
@@ -68,17 +69,22 @@
 //! `Clone` forks the graph *structurally shared*: it clones O(#chunks)
 //! `Arc`s (the chunk pointers, the sharded kernel index, the published
 //! snapshot), not the nodes. The §6 invalidation pass of a `MODIFY`
-//! running on the fork then copies-on-write exactly the chunks that hold
-//! invalidated states — publication cost is O(invalidated states) plus
-//! O(#chunks) pointer bumps, independent of how large the graph has
-//! grown. Retired epochs keep the old chunk `Arc`s alive until their last
-//! reader leaves, at which point only the chunks *not* shared with any
-//! live epoch are freed (chunk-granular reclamation).
+//! running on the fork then copies the pointer arrays of exactly the
+//! chunks that hold invalidated states and deep-copies only the
+//! invalidated nodes themselves — every node the edit does not write
+//! stays shared with the pre-edit epoch, even inside a copied chunk. Node
+//! size never enters the copy. Retired epochs keep the old chunk `Arc`s
+//! alive until their last reader leaves, at which point only the chunks
+//! (and nodes) *not* shared with any live epoch are freed.
 //!
 //! To find the states to invalidate without scanning every node, each
 //! chunk carries a conservative summary of the symbols on which its live
 //! complete nodes have transitions; `MODIFY` consults the summaries and
-//! descends only into chunks that may contain the edited left-hand side.
+//! probes the nodes of only the chunks that may contain the edited
+//! left-hand side. On a lazily touched graph that is a handful of chunks;
+//! on a fully expanded wide grammar nearly every summary holds every
+//! non-terminal, and the probe becomes the dominant, O(graph) term of an
+//! edit.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -140,20 +146,16 @@ const PARALLEL_EXPAND_MIN_BATCH: usize = 8;
 /// warm can run it on worker threads against disjoint chunks.
 fn build_rows_in_chunk(chunk: &mut NodeChunk, num_symbols: usize, version: u64) -> usize {
     let mut built = 0;
-    let mut added = 0;
-    for node in chunk.nodes.iter_mut() {
+    for slot in 0..chunk.nodes.len() {
+        let node = &chunk.nodes[slot];
         if !(node.alive && node.kind == ItemSetKind::Complete) || node.row.is_some() {
             continue;
         }
-        let mut targets = vec![0u32; num_symbols];
-        for (&symbol, &target) in &node.transitions {
-            targets[symbol.index()] = target.0 + 1;
-        }
-        added += std::mem::size_of::<ActionRow>() + targets.len() * 4;
-        node.row = Some(ActionRow { version, targets });
+        chunk.update(slot, |node| {
+            node.row = Some(ActionRow::of(node, num_symbols, version))
+        });
         built += 1;
     }
-    chunk.bytes += added;
     built
 }
 
@@ -180,8 +182,9 @@ fn snap_chunk_of(chunk: &NodeChunk) -> Arc<SnapChunk> {
 /// partition, reduction analysis), computed without touching the writer
 /// state. Workers of the parallel warm produce these concurrently; the
 /// serial commit step interns the successor kernels and writes the node.
+/// The closure itself is a temporary of the computation: everything the
+/// graph keeps of it is the successor partition and the reductions.
 struct ComputedExpansion {
-    closed: ItemSet,
     successors: BTreeMap<SymbolId, ItemSet>,
     reductions: Vec<RuleId>,
     accepting: bool,
@@ -214,7 +217,6 @@ fn compute_expansion_of(grammar: &Grammar, kernel: &ItemSet) -> ComputedExpansio
     reductions.sort();
     reductions.dedup();
     ComputedExpansion {
-        closed,
         successors,
         reductions,
         accepting,
@@ -316,6 +318,15 @@ pub struct ActionRow {
 }
 
 impl ActionRow {
+    /// Builds the dense row shadowing `node`'s transitions.
+    fn of(node: &ItemSetNode, num_symbols: usize, version: u64) -> Self {
+        let mut targets = vec![0u32; num_symbols];
+        for (&symbol, &target) in &node.transitions {
+            targets[symbol.index()] = target.0 + 1;
+        }
+        ActionRow { version, targets }
+    }
+
     /// The shift/GOTO target recorded for `symbol`, if any. Symbols
     /// interned after the row was built read as "no transition", which is
     /// correct: the node cannot have grown an edge on them without being
@@ -385,6 +396,12 @@ impl TableSnapshot {
 }
 
 /// One set of items in the graph.
+///
+/// The graph stores each node behind its own `Arc`, so forks share nodes
+/// individually: a write deep-copies only the node it touches, and only
+/// when another fork still holds it. The closure of the kernel is not
+/// kept — it is recomputed by each (re-)expansion, and nothing reads it
+/// afterwards.
 #[derive(Clone, Debug)]
 pub struct ItemSetNode {
     /// Identity of the node (index in the arena; stable for the lifetime of
@@ -394,8 +411,6 @@ pub struct ItemSetNode {
     pub kernel: ItemSet,
     /// Life-cycle stage.
     pub kind: ItemSetKind,
-    /// Closure of the kernel (valid when `Complete`; retained on `Dirty`).
-    pub closure: ItemSet,
     /// Outgoing edges (valid when `Complete`; the *old* edges when `Dirty`).
     pub transitions: BTreeMap<SymbolId, StateId>,
     /// Rules that may be reduced in this state (valid when `Complete`).
@@ -417,7 +432,6 @@ impl ItemSetNode {
             id,
             kernel,
             kind: ItemSetKind::Initial,
-            closure: ItemSet::new(),
             transitions: BTreeMap::new(),
             reductions: Vec::new(),
             accepting: false,
@@ -437,12 +451,13 @@ impl ItemSetNode {
 /// log2 of the nodes-per-chunk count.
 const CHUNK_BITS: usize = 9;
 /// Nodes per storage chunk. The trade: a fork (and a retired epoch's
-/// drop) costs one `Arc` refcount touch per chunk, while an invalidated
-/// state costs one chunk copy-on-write — item-set nodes are small (a few
-/// one-node B-trees), so copying a 512-node chunk is ~1µs. 512 keeps the
-/// per-edit `Arc`-traffic term flat far past the 5000-production mark the
-/// `publish-scaling` bench tracks, while a `MODIFY` still copies only the
-/// chunks its invalidations land in.
+/// drop) costs one `Arc` refcount touch per chunk, while the first write
+/// to a shared chunk copies its 512 node *pointers* (plus its symbol
+/// summary) — the nodes themselves stay shared, and only the ones written
+/// are deep-copied. Node size therefore does not enter the chunk copy,
+/// which matters on wide grammars whose nodes carry hundreds of kernel
+/// items. 512 keeps the per-edit `Arc`-traffic term flat far past the
+/// 5000-production mark the `publish-scaling` bench tracks.
 pub const CHUNK_SIZE: usize = 1 << CHUNK_BITS;
 
 #[inline]
@@ -476,12 +491,16 @@ const MAP_ENTRY_BYTES: usize = std::mem::size_of::<(SymbolId, StateId)>() + 16;
 /// Modeled bytes of an `Arc` allocation header (strong + weak counts).
 const ARC_HEADER_BYTES: usize = 16;
 
-/// Modeled resident bytes of one node: its inline slot plus every heap
-/// allocation hanging off it. O(1) — only lengths are consulted.
+/// Modeled resident bytes of one node: its pointer slot in the chunk, its
+/// `Arc` allocation, and every heap allocation hanging off it. O(1) — only
+/// lengths are consulted. A node shared by the chunks of several forks is
+/// counted in each of them (conservative, and it keeps every chunk's
+/// count a function of that chunk alone).
 fn node_heap_bytes(node: &ItemSetNode) -> usize {
-    std::mem::size_of::<ItemSetNode>()
+    std::mem::size_of::<Arc<ItemSetNode>>()
+        + ARC_HEADER_BYTES
+        + std::mem::size_of::<ItemSetNode>()
         + node.kernel.len() * ITEM_ENTRY_BYTES
-        + node.closure.len() * ITEM_ENTRY_BYTES
         + node.transitions.len() * MAP_ENTRY_BYTES
         + node.reductions.len() * std::mem::size_of::<RuleId>()
         + node
@@ -493,7 +512,7 @@ fn node_heap_bytes(node: &ItemSetNode) -> usize {
 /// Fresh (non-cached) walk of one chunk's modeled bytes — the oracle the
 /// incrementally maintained `NodeChunk::bytes` is tested against.
 fn chunk_bytes_of(chunk: &NodeChunk) -> usize {
-    chunk.nodes.iter().map(node_heap_bytes).sum()
+    chunk.nodes.iter().map(|node| node_heap_bytes(node)).sum()
 }
 
 /// Modeled resident bytes of one published entry (its `Arc` allocation).
@@ -511,15 +530,20 @@ fn snap_chunk_bytes(chunk: &SnapChunk) -> usize {
 
 /// One `Arc`-shared storage chunk: up to [`CHUNK_SIZE`] consecutive nodes
 /// plus a conservative summary of their outgoing transition symbols.
+/// Nodes are `Arc`-shared too, so copying a chunk on write copies
+/// pointers, and [`NodeChunk::update`] deep-copies only the nodes written.
 #[derive(Clone, Debug, Default)]
 struct NodeChunk {
-    nodes: Vec<ItemSetNode>,
+    nodes: Vec<Arc<ItemSetNode>>,
     /// Sorted superset of the symbol ids on which some live *complete*
     /// node of this chunk has a transition. `MODIFY` consults it to skip
     /// chunks that cannot contain invalidation candidates. Conservative:
-    /// merged on expansion, rebuilt exactly whenever the chunk is copied
-    /// on write, so stale entries only cost a false-positive scan of one
-    /// chunk, never a missed invalidation.
+    /// merged on expansion, carried over unchanged when the chunk is
+    /// copied on write, and rebuilt exactly only by mark-and-sweep, so a
+    /// stale entry costs a false-positive probe of one chunk's nodes,
+    /// never a missed invalidation. (Rebuilding on every copy would walk
+    /// every transition of the chunk — on wide grammars far more work
+    /// than the copy itself and the probes it saves.)
     out_symbols: Vec<u32>,
     /// Cached modeled bytes of this chunk's nodes (see the byte-accounting
     /// section above). Maintained incrementally at every node mutation, so
@@ -528,6 +552,18 @@ struct NodeChunk {
 }
 
 impl NodeChunk {
+    /// The single write point for a node: runs `f` on an exclusive borrow
+    /// of the node in `slot` — deep-copying the node first if another fork
+    /// still shares it — and adjusts the chunk's cached byte count by
+    /// whatever size change `f` causes.
+    fn update<R>(&mut self, slot: usize, f: impl FnOnce(&mut ItemSetNode) -> R) -> R {
+        let node = Arc::make_mut(&mut self.nodes[slot]);
+        let before = node_heap_bytes(node);
+        let result = f(node);
+        self.bytes = self.bytes - before + node_heap_bytes(node);
+        result
+    }
+
     fn rebuild_summary(&mut self) {
         self.out_symbols.clear();
         for node in &self.nodes {
@@ -693,11 +729,14 @@ impl Clone for GraphInner {
 /// satisfies this without draining readers by *forking*: `Clone` produces
 /// a **structurally shared** copy — O(#chunks) `Arc` bumps taken under the
 /// internal writer mutex, no node is copied — `MODIFY` runs on the private
-/// fork and copies-on-write only the chunks holding invalidated states,
-/// and the fork is published as a new grammar epoch while parses in
-/// flight keep reading the original. Publication is therefore
-/// O(invalidated states), independent of graph size; a retired epoch's
-/// chunks are freed individually once no live epoch shares them.
+/// fork, copies the pointer arrays of the chunks holding invalidated
+/// states and deep-copies only the invalidated nodes, and the fork is
+/// published as a new grammar epoch while parses in flight keep reading
+/// the original. The copies are O(invalidated states), independent of
+/// graph and node size; finding the invalidated states probes the nodes
+/// of every chunk whose symbol summary names the edited left-hand side
+/// (see [`NodeChunk`]). A retired epoch's chunks and nodes are freed
+/// individually once no live epoch shares them.
 #[derive(Debug)]
 pub struct ItemSetGraph {
     /// The persistent chunk store (see [`NodeChunk`]).
@@ -825,7 +864,7 @@ impl ItemSetGraph {
         {
             None => Err(GraphError::UnknownState(id)),
             Some(node) if !node.alive => Err(GraphError::CollectedState(id)),
-            Some(node) => Ok(node.clone()),
+            Some(node) => Ok(ItemSetNode::clone(node)),
         }
     }
 
@@ -854,8 +893,8 @@ impl ItemSetGraph {
         store
             .get(chunk_of(id))
             .and_then(|chunk| chunk.nodes.get(slot_of(id)))
+            .map(|node| ItemSetNode::clone(node))
             .unwrap_or_else(|| panic!("{}", GraphError::UnknownState(id)))
-            .clone()
     }
 
     /// A point-in-time snapshot of the live nodes, in id order.
@@ -865,7 +904,7 @@ impl ItemSetGraph {
             .iter()
             .flat_map(|chunk| chunk.nodes.iter())
             .filter(|n| n.alive)
-            .cloned()
+            .map(|n| ItemSetNode::clone(n))
             .collect();
         nodes.into_iter()
     }
@@ -902,14 +941,13 @@ impl ItemSetGraph {
     }
 
     /// An exclusive borrow of chunk `c`, copying it on write when it is
-    /// still shared with another fork (the copy rebuilds the chunk's
-    /// transition-symbol summary exactly).
+    /// still shared with another fork. The copy clones the chunk's node
+    /// pointers and symbol summary, not the nodes; node writes then go
+    /// through [`NodeChunk::update`].
     fn chunk_mut<'a>(&self, store: &'a mut [Arc<NodeChunk>], c: usize) -> &'a mut NodeChunk {
         let arc = &mut store[c];
         if Arc::get_mut(arc).is_none() {
-            let mut copy = (**arc).clone();
-            copy.rebuild_summary();
-            *arc = Arc::new(copy);
+            *arc = Arc::new((**arc).clone());
             self.chunks_cowed.fetch_add(1, Ordering::Relaxed);
         }
         Arc::get_mut(arc).expect("chunk was just made unique")
@@ -921,17 +959,13 @@ impl ItemSetGraph {
         f(&store[chunk_of(id)].nodes[slot_of(id)])
     }
 
-    /// Runs `f` on an exclusive borrow of the node (copy-on-write at chunk
-    /// granularity). The chunk's cached byte count is adjusted by whatever
-    /// size change `f` causes, keeping the residency accounting exact.
+    /// Runs `f` on an exclusive borrow of the node (copy-on-write of the
+    /// chunk's pointers, then of the node itself; see
+    /// [`NodeChunk::update`]).
     fn with_node_mut<R>(&self, id: StateId, f: impl FnOnce(&mut ItemSetNode) -> R) -> R {
         let mut store = self.store.write().unwrap();
-        let chunk = self.chunk_mut(&mut store, chunk_of(id));
-        let slot = slot_of(id);
-        let before = node_heap_bytes(&chunk.nodes[slot]);
-        let result = f(&mut chunk.nodes[slot]);
-        chunk.bytes = chunk.bytes - before + node_heap_bytes(&chunk.nodes[slot]);
-        result
+        self.chunk_mut(&mut store, chunk_of(id))
+            .update(slot_of(id), f)
     }
 
     fn intern_kernel_locked(&self, inner: &mut GraphInner, kernel: ItemSet) -> StateId {
@@ -947,8 +981,9 @@ impl ItemSetGraph {
         }
         let chunk = self.chunk_mut(&mut store, chunk_of(id));
         debug_assert_eq!(chunk.nodes.len(), slot_of(id));
-        chunk.nodes.push(ItemSetNode::new(id, kernel));
-        chunk.bytes += node_heap_bytes(chunk.nodes.last().expect("just pushed"));
+        let node = ItemSetNode::new(id, kernel);
+        chunk.bytes += node_heap_bytes(&node);
+        chunk.nodes.push(Arc::new(node));
         inner.stats.nodes_created += 1;
         id
     }
@@ -1128,19 +1163,16 @@ impl ItemSetGraph {
         // Keep the chunk's MODIFY summary a superset of its live complete
         // nodes' transition symbols.
         chunk.merge_summary(transitions.keys().copied());
-        let slot = slot_of(id);
-        let before = node_heap_bytes(&chunk.nodes[slot]);
-        let node = &mut chunk.nodes[slot];
-        node.closure = computed.closed;
-        node.transitions = transitions;
-        node.reductions = computed.reductions;
-        node.accepting = computed.accepting;
-        node.kind = ItemSetKind::Complete;
-        // The dense row shadows the (old) transitions; rebuild on demand.
-        // Readers observe the kind change and the dropped row atomically:
-        // both happen under the store's write lock.
-        node.row = None;
-        chunk.bytes = chunk.bytes - before + node_heap_bytes(&chunk.nodes[slot]);
+        chunk.update(slot_of(id), |node| {
+            node.transitions = transitions;
+            node.reductions = computed.reductions;
+            node.accepting = computed.accepting;
+            node.kind = ItemSetKind::Complete;
+            // The dense row shadows the (old) transitions; rebuild on
+            // demand. Readers observe the kind change and the dropped row
+            // atomically: both happen under the store's write lock.
+            node.row = None;
+        });
     }
 
     /// Builds the dense [`ActionRow`] of a complete node if it is missing.
@@ -1177,11 +1209,7 @@ impl ItemSetGraph {
             if node.row.is_some() {
                 return false;
             }
-            let mut targets = vec![0u32; num_symbols];
-            for (&symbol, &target) in &node.transitions {
-                targets[symbol.index()] = target.0 + 1;
-            }
-            node.row = Some(ActionRow { version, targets });
+            node.row = Some(ActionRow::of(node, num_symbols, version));
             true
         });
         if built {
@@ -1407,10 +1435,14 @@ impl ItemSetGraph {
     /// left-hand side, plus the start item set when the rule defines
     /// `START`.
     ///
-    /// Cost: O(invalidated states) chunk copies plus an O(#chunks) summary
-    /// scan — the §6 "cost proportional to what the edit invalidates"
-    /// property, independent of how many states the graph holds. Chunks
-    /// without an invalidated state stay shared with the pre-edit fork.
+    /// Cost: one deep node copy per invalidated state, one 512-pointer
+    /// copy per chunk holding one, and a scan of the chunks whose symbol
+    /// summary may contain `lhs`. Chunks without an invalidated state stay
+    /// shared with the pre-edit fork, and so does every node the edit does
+    /// not write. The scan is the one term that still grows with the
+    /// graph: on a fully expanded graph most summaries contain a popular
+    /// `lhs`, so every node of those chunks is probed for a transition on
+    /// it.
     fn modify_locked(
         &self,
         inner: &mut GraphInner,
@@ -1484,13 +1516,13 @@ impl ItemSetGraph {
                 }
                 let chunk = self.chunk_mut(&mut store, c);
                 for slot in hits {
-                    let before = node_heap_bytes(&chunk.nodes[slot]);
-                    let node = &mut chunk.nodes[slot];
-                    node.kind = invalidated_kind;
-                    node.row = None;
-                    invalidated.push(node.id);
+                    let id = chunk.update(slot, |node| {
+                        node.kind = invalidated_kind;
+                        node.row = None;
+                        node.id
+                    });
+                    invalidated.push(id);
                     inner.stats.invalidations += 1;
-                    chunk.bytes = chunk.bytes - before + node_heap_bytes(&chunk.nodes[slot]);
                 }
             }
         }
@@ -1572,45 +1604,49 @@ impl ItemSetGraph {
         for id in &reachable {
             keep[id.index()] = true;
         }
-        // Sweep the unreachable nodes and zero the reference counts, one
-        // chunk at a time (each chunk is copied on write at most once; a
-        // sweep is inherently a whole-graph pass).
+        // Recount references over the surviving graph first, so the sweep
+        // below writes (and copies on write) only the nodes whose liveness
+        // or count actually changes; a sweep is a whole-graph pass, but
+        // nodes it leaves as they were stay shared with other forks.
         let mut store = self.store.write().unwrap();
+        let mut refcounts = vec![0usize; inner.len];
+        for node in store.iter().flat_map(|chunk| chunk.nodes.iter()) {
+            if keep[node.id.index()] && node.kind != ItemSetKind::Initial {
+                for target in node.transitions.values() {
+                    if keep[target.index()] {
+                        refcounts[target.index()] += 1;
+                    }
+                }
+            }
+        }
+        let changed = |node: &ItemSetNode| {
+            let sweep = node.alive && !keep[node.id.index()];
+            sweep || node.refcount != refcounts[node.id.index()]
+        };
         let mut swept: Vec<(ItemSet, StateId)> = Vec::new();
         for c in 0..store.len() {
-            let chunk = self.chunk_mut(&mut store, c);
-            let mut freed = 0;
-            for node in &mut chunk.nodes {
-                if node.alive && !keep[node.id.index()] {
-                    let before = node_heap_bytes(node);
-                    node.alive = false;
-                    node.row = None;
-                    inner.stats.nodes_swept += 1;
-                    swept.push((std::mem::take(&mut node.kernel), node.id));
-                    freed += before - node_heap_bytes(node);
-                }
-                node.refcount = 0;
+            if !store[c].nodes.iter().any(|node| changed(node)) {
+                continue;
             }
-            chunk.bytes -= freed;
+            let chunk = self.chunk_mut(&mut store, c);
+            for slot in 0..chunk.nodes.len() {
+                if !changed(&chunk.nodes[slot]) {
+                    continue;
+                }
+                chunk.update(slot, |node| {
+                    node.refcount = refcounts[node.id.index()];
+                    if node.alive && !keep[node.id.index()] {
+                        node.alive = false;
+                        node.row = None;
+                        inner.stats.nodes_swept += 1;
+                        swept.push((std::mem::take(&mut node.kernel), node.id));
+                    }
+                });
+            }
+            chunk.rebuild_summary();
         }
         for (kernel, id) in swept {
             inner.kernel_index.remove_if(&kernel, id);
-        }
-        // Recompute reference counts over the surviving graph.
-        let mut targets: Vec<StateId> = Vec::new();
-        for chunk in store.iter() {
-            for node in &chunk.nodes {
-                if node.alive && node.kind != ItemSetKind::Initial {
-                    targets.extend(node.transitions.values().copied());
-                }
-            }
-        }
-        for id in targets {
-            let chunk = self.chunk_mut(&mut store, chunk_of(id));
-            let node = &mut chunk.nodes[slot_of(id)];
-            if node.alive {
-                node.refcount += 1;
-            }
         }
     }
 
@@ -1868,8 +1904,24 @@ impl ItemSetGraph {
             .collect()
     }
 
+    /// Per-node sharing with `other`: entry `i` is `true` when state `i`
+    /// of both graphs is the *same* node allocation (`Arc::ptr_eq`) —
+    /// the node-granular counterpart of
+    /// [`ItemSetGraph::shared_chunks_with`]. A node stays shared across a
+    /// fork until one side writes it, even when its chunk was copied.
+    /// Compared up to the shorter graph.
+    pub fn shared_nodes_with(&self, other: &ItemSetGraph) -> Vec<bool> {
+        let mine = self.store.read().unwrap();
+        let theirs = other.store.read().unwrap();
+        mine.iter()
+            .flat_map(|chunk| chunk.nodes.iter())
+            .zip(theirs.iter().flat_map(|chunk| chunk.nodes.iter()))
+            .map(|(a, b)| Arc::ptr_eq(a, b))
+            .collect()
+    }
+
     /// The modeled resident bytes of this graph's derived parser state:
-    /// node chunks (kernels, closures, transitions, cached action rows)
+    /// node chunks (kernels, transitions, reductions, cached action rows)
     /// plus the published table snapshot. Served from the incrementally
     /// maintained per-chunk counters — O(#chunks), never O(#nodes).
     ///
@@ -1935,18 +1987,22 @@ impl ItemSetGraph {
             .collect()
     }
 
-    /// Forces every structurally shared piece of this graph — node chunks,
-    /// kernel-index shards, published snapshot chunks — to be uniquely
-    /// owned, copying whatever is still shared with other forks. This
-    /// reproduces the cost profile of the pre-persistent *deep* fork and
-    /// exists for benchmark comparison (`publish-scaling`), not for
-    /// serving.
+    /// Forces every structurally shared piece of this graph — node chunks
+    /// and the nodes in them, kernel-index shards, published snapshot
+    /// chunks — to be uniquely owned, copying whatever is still shared
+    /// with other forks. This reproduces the cost profile of the
+    /// pre-persistent *deep* fork and exists for benchmark comparison
+    /// (`publish-scaling`), not for serving.
     pub fn unshare_all(&self) {
         let mut inner = self.inner.lock().unwrap();
         {
             let mut store = self.store.write().unwrap();
             for chunk in store.iter_mut() {
-                *chunk = Arc::new((**chunk).clone());
+                let mut copy = (**chunk).clone();
+                for node in &mut copy.nodes {
+                    *node = Arc::new((**node).clone());
+                }
+                *chunk = Arc::new(copy);
             }
         }
         inner.kernel_index.unshare();

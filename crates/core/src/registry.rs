@@ -269,7 +269,8 @@ impl GrammarRegistry {
             .ok_or_else(|| RegistryError::UnknownTenant(base.to_owned()))?;
         let epoch = base_tenant.server.current_epoch();
         // The CoW fork: clone shares every chunk Arc; the delta below
-        // copies-on-write only the chunks its invalidation touches.
+        // copies only the chunks (as node pointers) and the nodes its
+        // invalidation touches.
         let mut session = epoch.session().clone();
         delta(&mut session)?;
         // The fork inherits the base tenant's default parse budget: a
@@ -475,8 +476,8 @@ mod tests {
     fn dialects_share_the_base_working_set() {
         // A warmed wide base and 8 dialects forked from it. Each delta
         // adds one alternative to one `AI` sort, so its invalidation
-        // copies-on-write one node chunk (and one snapshot/arena chunk)
-        // out of several — everything else stays shared with the base.
+        // copies one node chunk (and one snapshot/arena chunk) out of
+        // several — everything else stays shared with the base.
         let registry = GrammarRegistry::unbounded();
         let base = IpgServer::new(IpgSession::from_bnf(&wide_grammar_bnf(550)).unwrap());
         registry.attach("base", base).unwrap();

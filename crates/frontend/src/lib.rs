@@ -276,7 +276,8 @@ impl Frontend {
         }
         // No reader can be spawned past this point. Existing readers wake
         // at least every read-timeout, see the flag, and exit once their
-        // connection is idle.
+        // connection is idle or they have answered every frame they had
+        // already read.
         let conns = std::mem::take(&mut *self.conns.lock().unwrap());
         for conn in conns {
             let _ = conn.join();
@@ -335,8 +336,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, conns: &Mutex<Vec<J
 }
 
 /// One connection's reader: decode frames, admit or shed, loop. Exits on
-/// EOF, poison (slow client, malformed frame, dead writer) or idle during
-/// a drain.
+/// EOF, poison (slow client, malformed frame, dead writer), or during a
+/// drain once the connection is idle or every buffered frame has been
+/// answered.
 fn connection_loop(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
@@ -355,7 +357,12 @@ fn connection_loop(stream: TcpStream, shared: &Shared) {
                 let admitted = Instant::now();
                 if shared.draining() {
                     // Frames that were already in flight when the drain
-                    // began still get their one definitive reply.
+                    // began still get their one definitive reply. Once no
+                    // further frame is buffered, the reader exits instead
+                    // of reading on: a client that keeps sending would
+                    // otherwise never let the connection go idle, and the
+                    // drain would wait on it forever. Frames it sends
+                    // later are refused by the connection closing.
                     shared.note(|s| s.shed_shutdown += 1);
                     reply(
                         shared,
@@ -364,6 +371,9 @@ fn connection_loop(stream: TcpStream, shared: &Shared) {
                         Status::ShuttingDown,
                         b"shutting down",
                     );
+                    if read_half.buffer().is_empty() {
+                        return;
+                    }
                     continue;
                 }
                 // `CANCEL` is handled inline by the reader — queueing a

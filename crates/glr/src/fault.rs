@@ -161,14 +161,16 @@ mod tests {
     use super::*;
 
     // These tests mutate process-global state; the module keeps them in one
-    // test fn so cargo's parallel runner cannot interleave them.
+    // test fn so cargo's parallel runner cannot interleave them, and arms
+    // scoped to this thread so the GSS tests running in parallel in the
+    // same binary neither hit the plan nor consume its counts.
     #[test]
     fn fault_points_fire_and_self_disarm() {
         // Disarmed: free.
         point("mid-gss");
 
         let before = injected();
-        FaultPlan::new().fail("mid-gss", 2).arm();
+        FaultPlan::new().fail("mid-gss", 2).arm_scoped();
 
         // Non-matching site does not fire.
         point("post-pin");
@@ -182,7 +184,7 @@ mod tests {
         assert_eq!(injected() - before, 2);
 
         // fail_after skips the first N hits.
-        FaultPlan::new().fail_after("forest-grow", 2, 1).arm();
+        FaultPlan::new().fail_after("forest-grow", 2, 1).arm_scoped();
         point("forest-grow");
         point("forest-grow");
         let r3 = std::panic::catch_unwind(|| point("forest-grow"));

@@ -8,8 +8,10 @@
 //! structures (parse tables, item-set graphs, scanners) can detect
 //! staleness.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -119,12 +121,24 @@ pub struct Grammar {
     /// Activation bits, packed 64 per word so the copy-on-write an edit
     /// pays is a short `memcpy` even for thousand-rule grammars.
     active: Arc<Vec<u64>>,
-    /// `lhs -> rule ids in id order`, over *all* slots (active or not).
-    /// Only mutated when a new rule slot is created.
-    by_lhs: Arc<HashMap<SymbolId, Vec<RuleId>>>,
+    /// `lhs -> (rule id, right-hand-side hash)` in id order, over *all*
+    /// slots (active or not). Only mutated when a new rule slot is
+    /// created. The hash lets [`Grammar::find_rule`] reject the other
+    /// alternatives of `lhs` from this one contiguous list, without
+    /// reading their rules.
+    by_lhs: Arc<HashMap<SymbolId, Vec<(RuleId, u32)>>>,
     start: SymbolId,
     eof: SymbolId,
     version: u64,
+}
+
+/// The by-LHS index's hash of a right-hand side: the default hasher (fixed
+/// keys, so deterministic) truncated to 32 bits. A collision only costs
+/// one extra right-hand-side comparison.
+fn rhs_hash(rhs: &[SymbolId]) -> u32 {
+    let mut hasher = DefaultHasher::new();
+    rhs.hash(&mut hasher);
+    hasher.finish() as u32
 }
 
 /// Number of rule slots per `Arc`'d storage chunk (see [`Grammar`]).
@@ -240,7 +254,8 @@ impl Grammar {
             self.symbols.is_nonterminal(lhs),
             "left-hand side of a rule must be a non-terminal"
         );
-        if let Some(existing) = self.find_rule(lhs, &rhs) {
+        let hash = rhs_hash(&rhs);
+        if let Some(existing) = self.find_rule_hashed(lhs, &rhs, hash) {
             if !self.is_active(existing) {
                 self.set_active(existing, true);
                 self.version += 1;
@@ -264,7 +279,10 @@ impl Grammar {
             Arc::make_mut(&mut self.active).push(0);
         }
         self.set_active(id, true);
-        Arc::make_mut(&mut self.by_lhs).entry(lhs).or_default().push(id);
+        Arc::make_mut(&mut self.by_lhs)
+            .entry(lhs)
+            .or_default()
+            .push((id, hash));
         self.version += 1;
         id
     }
@@ -289,11 +307,15 @@ impl Grammar {
     /// Served from the by-LHS index, so the cost is proportional to the
     /// number of alternatives of `lhs`, not to the size of the grammar.
     pub fn find_rule(&self, lhs: SymbolId, rhs: &[SymbolId]) -> Option<RuleId> {
+        self.find_rule_hashed(lhs, rhs, rhs_hash(rhs))
+    }
+
+    fn find_rule_hashed(&self, lhs: SymbolId, rhs: &[SymbolId], hash: u32) -> Option<RuleId> {
         self.by_lhs
             .get(&lhs)?
             .iter()
-            .copied()
-            .find(|&id| self.rule(id).rhs == rhs)
+            .find(|&&(id, h)| h == hash && self.rule(id).rhs == rhs)
+            .map(|&(id, _)| id)
     }
 
     /// Deactivates the rule with id `id`. Returns an error if the rule does
@@ -356,7 +378,7 @@ impl Grammar {
             .get(&lhs)
             .into_iter()
             .flatten()
-            .copied()
+            .map(|&(id, _)| id)
             .filter(|&id| self.is_active(id))
             .map(|id| self.rule(id))
     }

@@ -8,7 +8,7 @@
 use std::collections::BTreeSet;
 
 use ipg::{IpgServer, IpgSession, ItemSetGraph, ItemSetKind};
-use ipg_bench::synthetic_workload;
+use ipg_bench::{synthetic_workload, wide_synthetic_workload};
 
 /// Chunk indices of the fork's invalidated (non-complete) states.
 fn dirty_chunks(graph: &ItemSetGraph) -> BTreeSet<usize> {
@@ -135,4 +135,83 @@ fn unshare_all_reproduces_the_deep_fork() {
         fork.parse(&workload.sentence).accepted,
         session.parse(&workload.sentence).accepted
     );
+}
+
+#[test]
+fn modify_fork_shares_every_node_the_edit_does_not_write() {
+    // A warmed wide grammar: its nodes carry hundreds of kernel items, so
+    // deep-copying a chunk of them is what node-granular sharing avoids.
+    let workload = wide_synthetic_workload(500);
+    let session = IpgSession::new(workload.grammar.clone());
+    session.expand_all();
+    assert!(
+        session.graph().num_chunks() >= 2,
+        "fixture spans several chunks"
+    );
+
+    let mut fork = session.clone();
+    let g = fork.grammar();
+    let lhs = g.symbol("W3").expect("wide non-terminal");
+    // Five terminals: longer than any generated alternative.
+    let rhs: Vec<_> = (0..5)
+        .map(|i| g.symbol(&format!("t{i:02}")).expect("wide terminal"))
+        .collect();
+    fork.add_rule(lhs, rhs);
+
+    // The edit wrote exactly the invalidated states; every other node is
+    // the same allocation on both sides.
+    let written: BTreeSet<usize> = fork
+        .graph()
+        .live_nodes()
+        .filter(|n| n.kind != ItemSetKind::Complete)
+        .map(|n| n.id.index())
+        .collect();
+    assert!(!written.is_empty(), "the edit invalidated something");
+    let shared_nodes = session.graph().shared_nodes_with(fork.graph());
+    assert_eq!(shared_nodes.len(), session.graph().stats().nodes_created);
+    for (i, &is_shared) in shared_nodes.iter().enumerate() {
+        assert_eq!(
+            is_shared,
+            !written.contains(&i),
+            "node {i} must be shared iff the edit did not write it"
+        );
+    }
+    // Including nodes inside the chunks the edit copied.
+    let shared_chunks = session.graph().shared_chunks_with(fork.graph());
+    let copied_chunks = shared_chunks.iter().filter(|&&s| !s).count();
+    assert!(copied_chunks > 0, "the edit copied a chunk");
+    let shared_in_copied = shared_nodes
+        .iter()
+        .enumerate()
+        .filter(|&(i, &s)| {
+            s && !shared_chunks[ItemSetGraph::chunk_of_state(ipg_lr::StateId::from_index(i))]
+        })
+        .count();
+    assert!(
+        shared_in_copied > 0,
+        "a copied chunk still shares the nodes the edit did not write"
+    );
+
+    // Byte accounting stays exact on both sides, before and after the
+    // fork re-expands.
+    let assert_exact = |s: &IpgSession, step: &str| {
+        assert_eq!(
+            s.graph().resident_bytes(),
+            s.graph().recompute_resident_bytes(),
+            "cached bytes drifted from the deep walk ({step})"
+        );
+        let rows: usize = s.chunk_accounting().iter().map(|(_, b)| b).sum();
+        assert_eq!(rows, s.resident_bytes(), "accounting rows ({step})");
+    };
+    assert_exact(&session, "base after the fork's edit");
+    assert_exact(&fork, "fork after the edit");
+    fork.expand_all();
+    assert_exact(&session, "base after the fork re-expanded");
+    assert_exact(&fork, "fork after re-expansion");
+    assert!(session
+        .graph()
+        .live_nodes()
+        .all(|n| n.kind == ItemSetKind::Complete));
+    assert!(session.parse(&workload.sentence).accepted);
+    assert!(fork.parse(&workload.sentence).accepted);
 }
