@@ -51,4 +51,14 @@ fn main() {
         "\nall four inputs against one lazily generated table: {:.1}% of the full table",
         graph.size().coverage_of(full) * 100.0
     );
+    let stats = graph.stats();
+    println!(
+        "lazy expansion stages: {} expansions, {} kernel lookups ({} hits), \
+         {} µs computing (closure, successors, reductions), {} µs committing (interning, node writes)",
+        stats.expansions,
+        stats.kernel_lookups,
+        stats.kernel_hits,
+        stats.expand_compute_us,
+        stats.expand_commit_us,
+    );
 }

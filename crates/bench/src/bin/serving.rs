@@ -13,7 +13,8 @@
 //! Every process allocation is counted by a wrapping global allocator, so
 //! each row also reports **allocations per request**; the run fails (exit
 //! code 1) if the warm fused text path allocates at all — the
-//! allocation-free-request-path gate.
+//! allocation-free-request-path gate — or if a 1-thread cold start of the
+//! wide grammar allocates more than [`COLD_START_ALLOCS_LIMIT`] times.
 //!
 //! Prints a human-readable table and writes `BENCH_serving.json` to the
 //! current directory so CI can track the serving-perf trajectory.
@@ -62,6 +63,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Heap allocations of one 1-thread cold start of the wide 5000-production
+/// grammar while `EXPAND` closed kernels into `BTreeSet`s and keyed its
+/// kernel index by whole kernels.
+const COLD_START_ALLOCS_BTREE: u64 = 2_341_216;
+/// The cold-start allocation gate: 40% of [`COLD_START_ALLOCS_BTREE`]. The
+/// count is deterministic, so the gate holds on every host.
+const COLD_START_ALLOCS_LIMIT: u64 = COLD_START_ALLOCS_BTREE * 2 / 5;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
@@ -522,6 +531,16 @@ fn main() {
         server.stats().graph
     };
 
+    // Stage counters of lazy expansion: a fresh server parses every input
+    // once, so each state it needs is expanded on the lazy path.
+    let lazy_counters = {
+        let server = IpgServer::new(IpgSession::new(workload.grammar.clone()));
+        for input in &workload.inputs {
+            assert!(server.parse(&input.tokens).accepted);
+        }
+        server.stats().graph
+    };
+
     let row_of = |scenario: &str, threads: usize| -> &Row {
         rows.iter()
             .find(|r| r.scenario == scenario && r.threads == threads)
@@ -548,12 +567,23 @@ fn main() {
     );
     let cold_start_s = |threads: usize| row_of("cold-start", threads).elapsed_s;
     let cold_start_speedup_4 = cold_start_s(1) / cold_start_s(4);
+    let cold_start_allocs = row_of("cold-start", 1).allocs_per_request as u64;
     println!(
         "cold start (wide 5000-production grammar): {:.3}s at 1 thread, {:.3}s at 2, {:.3}s at 4 \
-         ({cold_start_speedup_4:.2}x at 4 threads)",
+         ({cold_start_speedup_4:.2}x at 4 threads); {cold_start_allocs} allocations at 1 thread \
+         (gate: <= {COLD_START_ALLOCS_LIMIT})",
         cold_start_s(1),
         cold_start_s(2),
         cold_start_s(4),
+    );
+    println!(
+        "lazy expansion (fresh server, every input once): {} expansions, {} kernel lookups \
+         ({} hits), {} µs computing, {} µs committing",
+        lazy_counters.expansions,
+        lazy_counters.kernel_lookups,
+        lazy_counters.kernel_hits,
+        lazy_counters.expand_compute_us,
+        lazy_counters.expand_commit_us,
     );
     println!(
         "scanner/warm counters: dense_rows_built {}, dense_bytes {}, skip_loop_bytes {}, \
@@ -672,6 +702,7 @@ fn main() {
          \"scanner_dense_speedup\": {scanner_dense_speedup:.3},\n  \
          \"cold_start_1_thread_s\": {:.3},\n  \
          \"cold_start_speedup_4_threads\": {cold_start_speedup_4:.3},\n  \
+         \"cold_start_allocs\": {cold_start_allocs},\n  \
          \"resident_bytes\": {},\n  \"resident_high_water\": {},\n  \
          \"modify_concurrent_idle_mean_us\": {:.2},\n  \"modify_concurrent_loaded_mean_us\": {:.2}\n}}\n",
         warm4,
@@ -737,6 +768,15 @@ fn main() {
         eprintln!(
             "FAIL: cold-start 4-thread speedup {cold_start_speedup_4:.2}x below the 3x target on a \
              {cores}-core host"
+        );
+        failed = true;
+    }
+    // Cold-start allocations are a deterministic count, gated on every
+    // host.
+    if cold_start_allocs > COLD_START_ALLOCS_LIMIT {
+        eprintln!(
+            "FAIL: a 1-thread cold start allocated {cold_start_allocs} times, above the \
+             {COLD_START_ALLOCS_LIMIT} limit (40% of {COLD_START_ALLOCS_BTREE})"
         );
         failed = true;
     }

@@ -165,65 +165,15 @@ pub struct WideSyntheticWorkload {
     pub sentence: Vec<SymbolId>,
 }
 
-/// A deterministic 64-bit LCG (Knuth's MMIX constants). The workload must
-/// be bit-identical across runs and hosts so that cold-start timings and
-/// the parallel-warm equivalence tests all see the same grammar.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        self.next() as usize % n
-    }
-}
-
-/// Builds a wide grammar with exactly `productions` random alternatives
-/// spread round-robin over 8 non-terminals, plus one dedicated sentence
-/// rule. Each right-hand side is 2–4 random terminals (out of 40), with a
-/// 1-in-4 chance of a trailing non-terminal (right recursion only — a
-/// non-terminal *inside* a right-hand side would give every context its
-/// own mega-kernel and blow the state count combinatorially, which is a
-/// different bench). States whose dot stops before a trailing
-/// non-terminal close over *hundreds* of alternatives, so per-state
-/// expansion work dominates and the frontier fans out across all symbols
-/// at once, while successor kernels are shared across contexts. Symbol
-/// and rule counts stay bounded (49 symbols total), which bounds the
-/// per-state `ACTION` row footprint no matter how large `productions`
-/// grows.
+/// The wide synthetic grammar of [`ipg_grammar::fixtures::wide_synthetic`]
+/// (`productions` random alternatives over 8 non-terminals: states close
+/// over hundreds of alternatives, so per-state expansion work dominates
+/// and the frontier fans out across all symbols at once), with the
+/// sentence `wstart` of its language.
 pub fn wide_synthetic_workload(productions: usize) -> WideSyntheticWorkload {
-    let mut g = Grammar::new();
-    let nts: Vec<SymbolId> = (0..8).map(|i| g.nonterminal(&format!("W{i}"))).collect();
-    let terminals: Vec<SymbolId> = (0..40).map(|i| g.terminal(&format!("t{i:02}"))).collect();
-    // The dedicated sentence rule uses a terminal no random rule can pick,
-    // so `[wstart]` is in the language regardless of the random draw.
-    let wstart = g.terminal("wstart");
-    g.add_rule(nts[0], vec![wstart]);
-    let mut rng = Lcg(0x9E3779B97F4A7C15);
-    for p in 0..productions {
-        let lhs = nts[p % nts.len()];
-        let len = 2 + rng.below(3);
-        let mut rhs: Vec<SymbolId> = (0..len)
-            .map(|_| terminals[rng.below(terminals.len())])
-            .collect();
-        if rng.below(4) == 0 {
-            rhs.push(nts[rng.below(nts.len())]);
-        }
-        g.add_rule(lhs, rhs);
-    }
-    g.add_start_rule(nts[0]);
-    g.validate().expect("wide synthetic grammar is well-formed");
-    let sentence = vec![wstart];
-    WideSyntheticWorkload {
-        grammar: g,
-        sentence,
-    }
+    let grammar = ipg_grammar::fixtures::wide_synthetic(productions);
+    let sentence = vec![grammar.symbol("wstart").expect("wide grammar has `wstart`")];
+    WideSyntheticWorkload { grammar, sentence }
 }
 
 /// BNF text of an adversarial, maximally ambiguous grammar for the

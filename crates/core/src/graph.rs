@@ -23,8 +23,8 @@
 //!
 //! Node storage is a **persistent chunk store**: node `id` lives in slot
 //! `id % CHUNK_SIZE` of chunk `id / CHUNK_SIZE`; each chunk is an
-//! immutable-once-shared `Arc<NodeChunk>` of `Arc`'d nodes. The steady-state read path (the lazy tables) never
-//! touches the store at all — it reads the epoch-published
+//! immutable-once-shared `Arc<NodeChunk>` of `Arc`'d nodes. The
+//! steady-state read path (the lazy tables) never touches the store at all — it reads the epoch-published
 //! [`TableSnapshot`] — while the accessor methods (`try_node`, `size`, …)
 //! take one store-wide `RwLock` read.
 //!
@@ -38,31 +38,53 @@
 //! order is always inner mutex → store lock → published lock, one at a
 //! time, so writers serialize among themselves and cannot deadlock.
 //!
+//! ## The two halves of `EXPAND`
+//!
+//! Every expansion splits into a **read-only half** and a **write half**.
+//! The read-only half (`compute_expansion_of`) closes the kernel and
+//! partitions the closure on flat, reused memory ([`ExpandScratch`]): the
+//! closure is a vector, each non-terminal's rules are added once per
+//! closure (a stamp per non-terminal, not a set lookup), and the advanced
+//! items are scattered into dense symbol-indexed buckets. It returns the
+//! successor kernels as sorted runs of one vector, in symbol order, each
+//! with a 64-bit fingerprint, plus the reductions and the accepting flag.
+//! The eager generator's `closure` / `partition_by_next_symbol` /
+//! `completed_items` compute the same thing over `BTreeSet`s and are its
+//! test oracle.
+//!
+//! The write half (`commit_expansion_locked`) interns each successor run
+//! in the kernel index, which maps fingerprints to candidate states and
+//! confirms a candidate against its stored kernel; only a genuinely new
+//! state builds a `BTreeSet` kernel. The commit decides state ids only: it
+//! buffers the store writes — new nodes, the completed node, reference
+//! count increments — in [`PendingWrites`], which are applied chunk by
+//! chunk before anything reads them (before every `DECR-REFCOUNT`, and at
+//! the end of each writer operation).
+//!
 //! ## Bulk expansion (parallel warm)
 //!
 //! Steady-state misses and `MODIFY` keep the serialized writer above —
-//! one state at a time, latency-bound. Bulk cold-start expansion
-//! ([`ItemSetGraph::expand_all_parallel`]) instead splits each expansion
-//! into its **read-only half** — clone the kernel, compute the closure,
-//! partition successors, collect reductions (`compute_expansion`) — and
-//! its **write half** — intern successor kernels, bump refcounts, write
-//! the node (`commit_expansion_locked`). Warm then runs *pipelined
-//! rounds*: the pending frontier is collected in id order and its kernels
-//! are cloned out of the store, the read-only halves fan out over N
-//! worker threads (pure functions of grammar + kernel, no graph locks),
-//! and the committer consumes results in frontier order *as they arrive*
-//! (`RoundQueue`), so interning overlaps with the remaining closures
-//! instead of waiting for the whole round. Because closure depends only
-//! on the grammar and the kernel, and kernels are interned in exactly the
-//! order the serial loop would have used, the resulting graph — state
-//! numbering, kernel index, rows — is **bit-identical** to a serial warm
-//! (property-tested). Row publication
-//! parallelises the same way: chunks are unshared serially, then disjoint
-//! chunk slices are filled concurrently and published in one snapshot
-//! swap. The whole warm holds the writer mutex, so it serializes with
-//! `MODIFY` like any other writer; frontiers smaller than
-//! `PARALLEL_EXPAND_MIN_BATCH` expand inline, so chain-shaped grammars
-//! never pay a spawn.
+//! one state at a time, latency-bound, with the reused scratch of the
+//! writer. Bulk cold-start expansion ([`ItemSetGraph::expand_all_parallel`])
+//! runs in rounds: the pending frontier is collected in id order, then
+//! 1. N workers compute the read-only half of every frontier expansion
+//!    and look its successor runs up in the kernel index, reading kernels
+//!    straight out of the store — nothing writes the graph in this phase;
+//! 2. the writer commits the results serially in frontier order, taking
+//!    each successor that phase 1 found as is (unless refcount GC has
+//!    collected a node since), so it only interns the kernels that are new
+//!    in this round;
+//! 3. the round's buffered store writes are applied by the workers, each
+//!    owning a disjoint slice of storage chunks.
+//!
+//! Because closure depends only on the grammar and the kernel, and
+//! kernels are interned in exactly the order the serial loop would have
+//! used, the resulting graph — state numbering, kernel index, rows — is
+//! **bit-identical** to a serial warm (property-tested). Row publication
+//! parallelises like phase 3 and is published in one snapshot swap. The
+//! whole warm holds the writer mutex, so it serializes with `MODIFY` like
+//! any other writer; frontiers smaller than `PARALLEL_EXPAND_MIN_BATCH`
+//! expand inline, so chain-shaped grammars never pay a spawn.
 //!
 //! ## Forking (epoch publication)
 //!
@@ -88,13 +110,12 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
+use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::time::{Duration, Instant};
 
 use ipg_grammar::{Grammar, GrammarError, RuleId, SymbolId};
-use ipg_lr::itemset::{closure, completed_items, partition_by_next_symbol, start_kernel, ItemSet};
+use ipg_lr::itemset::{start_kernel, ItemSet};
 use ipg_lr::{Item, StateId};
 
 use crate::stats::{GenStats, GraphSize};
@@ -184,92 +205,407 @@ fn snap_chunk_of(chunk: &NodeChunk) -> Arc<SnapChunk> {
 /// serial commit step interns the successor kernels and writes the node.
 /// The closure itself is a temporary of the computation: everything the
 /// graph keeps of it is the successor partition and the reductions.
+///
+/// The successor kernels are flat: one sorted run of items per successor,
+/// concatenated in symbol order in `items`, each with the fingerprint the
+/// kernel index is keyed by. The serial path reuses one of these per
+/// graph, so a lazy expansion allocates nothing for its successors unless
+/// it creates a new state.
+#[derive(Debug, Default)]
 struct ComputedExpansion {
-    successors: BTreeMap<SymbolId, ItemSet>,
+    /// The successor kernels' items, run after run.
+    items: Vec<Item>,
+    /// One entry per successor kernel, in symbol order.
+    successors: Vec<Successor>,
     reductions: Vec<RuleId>,
     accepting: bool,
+    /// `GenStats::nodes_collected` when the successors were resolved.
+    collected_at_resolve: usize,
+}
+
+/// One successor kernel of a [`ComputedExpansion`]: the transition symbol
+/// and the kernel's run `items[previous end..end]`.
+#[derive(Clone, Copy, Debug)]
+struct Successor {
+    symbol: SymbolId,
+    end: usize,
+    fingerprint: u64,
+    /// The state that had this kernel when the parallel warm's read-only
+    /// phase looked it up (see [`ComputedExpansion::resolve`]).
+    existing: Option<StateId>,
+}
+
+impl ComputedExpansion {
+    /// The successor kernels in symbol order.
+    fn successor_runs(&self) -> impl Iterator<Item = (&Successor, &[Item])> {
+        let mut start = 0;
+        self.successors.iter().map(move |succ| {
+            let run = &self.items[start..succ.end];
+            start = succ.end;
+            (succ, run)
+        })
+    }
+
+    /// Looks every successor kernel up in `index`, confirming candidates
+    /// with `is_kernel`, and records the states found. Run by the parallel
+    /// warm's workers while the graph is read-only, so the serial commit
+    /// skips the lookup — and the kernel comparison, the costly part —
+    /// for every successor that already existed. Unless `keep_runs`, the
+    /// runs of the successors found are dropped, so a round's results stay
+    /// small until they are committed.
+    fn resolve(
+        &mut self,
+        index: &KernelIndex,
+        collected: usize,
+        keep_runs: bool,
+        is_kernel: impl Fn(StateId, &[Item]) -> bool,
+    ) {
+        self.collected_at_resolve = collected;
+        let (mut read, mut write) = (0, 0);
+        for succ in &mut self.successors {
+            let run = read..succ.end;
+            read = succ.end;
+            succ.existing = index.get(succ.fingerprint, |id| {
+                is_kernel(id, &self.items[run.clone()])
+            });
+            if keep_runs || succ.existing.is_none() {
+                self.items.copy_within(run.clone(), write);
+                write += run.len();
+            }
+            succ.end = write;
+        }
+        self.items.truncate(write);
+        self.items.shrink_to_fit();
+    }
+}
+
+/// Reusable scratch of the read-only half of `EXPAND`. The caller owns it
+/// — the writer state for the serial path, one per worker in the parallel
+/// warm — so a closure allocates nothing once the buffers have grown to the
+/// grammar's widest state.
+#[derive(Debug, Default)]
+struct ExpandScratch {
+    /// The closure being built: the kernel's items first, in kernel
+    /// order, then the dot-0 items the closure adds. Doubles as the work
+    /// list.
+    items: Vec<Item>,
+    /// `(symbol after the dot, advanced item)` for every closure item that
+    /// is not complete, in closure order.
+    moved: Vec<(SymbolId, Item)>,
+    /// Per non-terminal: the stamp of the last closure that added its
+    /// rules, so each non-terminal's rules are added once per closure.
+    stamps: Vec<u32>,
+    /// The current closure's stamp.
+    stamp: u32,
+    /// Per symbol: the size of its successor kernel, then the write cursor
+    /// into its run. All zero between closures.
+    buckets: Vec<u32>,
+    /// The symbols with a non-empty bucket in the current closure.
+    touched: Vec<SymbolId>,
 }
 
 /// The read-only half of `EXPAND` as a pure function of the grammar and a
-/// kernel: closure, successor partition and reduction analysis. The
-/// parallel warm clones the frontier's kernels out of the store up front
-/// and hands them to workers through this function, so the fan-out touches
-/// no graph locks at all.
-fn compute_expansion_of(grammar: &Grammar, kernel: &ItemSet) -> ComputedExpansion {
-    let closed = closure(grammar, kernel);
-    let successors = partition_by_next_symbol(grammar, &closed);
-
-    let mut reductions = Vec::new();
-    let mut accepting = false;
-    for item in completed_items(grammar, &closed) {
-        // A completed item of a rule that has been deleted from the
-        // grammar must not be reported as a reduction; such items can
-        // linger in the kernels of stale (unreachable) item sets.
-        if !grammar.is_active(item.rule) {
-            continue;
-        }
-        if grammar.rule(item.rule).lhs == grammar.start_symbol() {
-            accepting = true;
-        } else {
-            reductions.push(item.rule);
-        }
+/// kernel (given in sorted order): closure, successor partition and
+/// reduction analysis, written into `out`. Equivalent to the eager
+/// generator's `closure` / `partition_by_next_symbol` / `completed_items`,
+/// which remain the test oracle, but on flat, reused memory: the closure is
+/// a vector, a non-terminal's rules are added once (stamped, not looked up
+/// in a set), and the successors are scattered into dense symbol-indexed
+/// buckets instead of a map of trees.
+fn compute_expansion_of(
+    grammar: &Grammar,
+    kernel: impl IntoIterator<Item = Item>,
+    scratch: &mut ExpandScratch,
+    out: &mut ComputedExpansion,
+) {
+    let ExpandScratch {
+        items,
+        moved,
+        stamps,
+        stamp,
+        buckets,
+        touched,
+    } = scratch;
+    let num_symbols = grammar.symbols().len();
+    if stamps.len() < num_symbols {
+        stamps.resize(num_symbols, 0);
+        buckets.resize(num_symbols, 0);
     }
-    reductions.sort();
-    reductions.dedup();
-    ComputedExpansion {
-        successors,
-        reductions,
-        accepting,
+    *stamp = stamp.wrapping_add(1);
+    if *stamp == 0 {
+        stamps.fill(0);
+        *stamp = 1;
     }
-}
+    items.clear();
+    items.extend(kernel);
+    moved.clear();
+    touched.clear();
+    out.items.clear();
+    out.successors.clear();
+    out.reductions.clear();
+    out.accepting = false;
 
-/// Hand-off queue of one parallel-warm round: workers deposit the computed
-/// expansion of frontier slot `i` as soon as it is ready, and the committer
-/// consumes the slots strictly in frontier order, blocking only when the
-/// next slot in line has not been produced yet. This pipelines the serial
-/// commit (kernel interning, refcount bumps, node writes) with the
-/// concurrent closure computation — round wall-clock is
-/// `max(compute / workers, commit)` instead of their sum.
-struct RoundQueue {
-    cursor: AtomicUsize,
-    slots: Mutex<Vec<Option<ComputedExpansion>>>,
-    ready: Condvar,
-}
-
-impl RoundQueue {
-    fn new(len: usize) -> Self {
-        let mut slots = Vec::new();
-        slots.resize_with(len, || None);
-        RoundQueue {
-            cursor: AtomicUsize::new(0),
-            slots: Mutex::new(slots),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Claims the next unclaimed frontier index, or `None` when every
-    /// index of the round has been handed out.
-    fn claim(&self, len: usize) -> Option<usize> {
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-        (i < len).then_some(i)
-    }
-
-    fn deposit(&self, i: usize, computed: ComputedExpansion) {
-        let mut slots = self.slots.lock().unwrap();
-        slots[i] = Some(computed);
-        self.ready.notify_all();
-    }
-
-    /// Blocks until slot `i` has been deposited, then takes it.
-    fn take(&self, i: usize) -> ComputedExpansion {
-        let mut slots = self.slots.lock().unwrap();
-        loop {
-            if let Some(computed) = slots[i].take() {
-                return computed;
+    // Only the START kernel holds dot-0 items; the closure must not add
+    // them a second time.
+    let kernel_len = items.len();
+    let kernel_has_dot0 = items.iter().any(|item| item.dot == 0);
+    let start_symbol = grammar.start_symbol();
+    let mut next_item = 0;
+    while let Some(&item) = items.get(next_item) {
+        next_item += 1;
+        let rule = grammar.rule(item.rule);
+        let Some(&next) = rule.rhs.get(item.dot) else {
+            // A completed item of a rule that has been deleted from the
+            // grammar must not be reported as a reduction; such items can
+            // linger in the kernels of stale (unreachable) item sets.
+            if grammar.is_active(item.rule) {
+                if rule.lhs == start_symbol {
+                    out.accepting = true;
+                } else {
+                    out.reductions.push(item.rule);
+                }
             }
-            slots = self.ready.wait(slots).unwrap();
+            continue;
+        };
+        moved.push((next, item.advance()));
+        if buckets[next.index()] == 0 {
+            touched.push(next);
+        }
+        buckets[next.index()] += 1;
+        if grammar.is_nonterminal(next) && stamps[next.index()] != *stamp {
+            stamps[next.index()] = *stamp;
+            for added in grammar.rules_for(next).map(|r| Item::start(r.id)) {
+                if kernel_has_dot0 && items[..kernel_len].binary_search(&added).is_ok() {
+                    continue;
+                }
+                items.push(added);
+            }
         }
     }
+    out.reductions.sort_unstable();
+    out.reductions.dedup();
+
+    // Lay the successor runs out in symbol order, scatter the advanced
+    // items into them, then sort and fingerprint each run.
+    touched.sort_unstable();
+    out.successors.reserve(touched.len());
+    let mut end = 0;
+    for &symbol in touched.iter() {
+        let size = buckets[symbol.index()] as usize;
+        buckets[symbol.index()] = end as u32;
+        end += size;
+        out.successors.push(Successor {
+            symbol,
+            end,
+            fingerprint: 0,
+            existing: None,
+        });
+    }
+    out.items.resize(end, Item::start(RuleId::from_index(0)));
+    for &(symbol, item) in moved.iter() {
+        let cursor = &mut buckets[symbol.index()];
+        out.items[*cursor as usize] = item;
+        *cursor += 1;
+    }
+    let mut start = 0;
+    for succ in &mut out.successors {
+        let run = &mut out.items[start..succ.end];
+        run.sort_unstable();
+        succ.fingerprint = fingerprint(run.iter());
+        buckets[succ.symbol.index()] = 0;
+        start = succ.end;
+    }
+}
+
+/// `true` when `node`'s kernel is exactly `run` (sorted items).
+fn kernel_matches(node: &ItemSetNode, run: &[Item]) -> bool {
+    node.kernel.len() == run.len() && node.kernel.iter().eq(run)
+}
+
+/// The kernel index's 64-bit key of a kernel, from its items in sorted
+/// order. Equal kernels always agree; distinct kernels that collide only
+/// cost the index one extra kernel comparison (see [`KernelIndex`]).
+fn fingerprint<'a>(kernel: impl IntoIterator<Item = &'a Item>) -> u64 {
+    let mut hash: u64 = 0x243f_6a88_85a3_08d3;
+    for item in kernel {
+        let word = ((item.rule.index() as u64) << 32) ^ item.dot as u64;
+        hash = (hash ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        hash ^= hash >> 29;
+    }
+    hash
+}
+
+/// The store writes of the commit half of `EXPAND`, buffered so that the
+/// serial part of a commit only decides state ids: the nodes it creates,
+/// the expansions it completes and the reference counts it raises.
+/// `flush_pending_locked` applies them chunk by chunk — in parallel for a
+/// parallel warm round — before anything reads what they change: before
+/// every `DECR-REFCOUNT` and at the end of each writer operation, so
+/// between writer operations the buffer is empty and the store complete.
+#[derive(Debug, Default)]
+struct PendingWrites {
+    /// Id of the first pending new node; the pending new nodes are
+    /// `first_new..GraphInner::len`.
+    first_new: usize,
+    /// The kernels of the pending new nodes, run after run.
+    kernel_items: Vec<Item>,
+    kernel_ends: Vec<usize>,
+    /// The transitions of the pending expansions, run after run.
+    transitions: Vec<(SymbolId, StateId)>,
+    /// The reductions of the pending expansions, run after run.
+    reductions: Vec<RuleId>,
+    expansions: Vec<PendingExpansion>,
+    /// One entry per reference to add.
+    increments: Vec<StateId>,
+}
+
+/// One completed expansion in [`PendingWrites`].
+#[derive(Debug)]
+struct PendingExpansion {
+    id: StateId,
+    transitions_end: usize,
+    reductions_end: usize,
+    accepting: bool,
+}
+
+impl PendingWrites {
+    fn is_empty(&self) -> bool {
+        self.kernel_ends.is_empty() && self.expansions.is_empty() && self.increments.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.kernel_items.clear();
+        self.kernel_ends.clear();
+        self.transitions.clear();
+        self.reductions.clear();
+        self.expansions.clear();
+        self.increments.clear();
+    }
+
+    /// Buffers the creation of node `id` (the next id) with kernel `run`.
+    fn create(&mut self, id: StateId, run: &[Item]) {
+        if self.kernel_ends.is_empty() {
+            self.first_new = id.index();
+        }
+        self.kernel_items.extend_from_slice(run);
+        self.kernel_ends.push(self.kernel_items.len());
+    }
+
+    /// The kernel of `id` if it is a pending new node.
+    fn new_kernel(&self, id: StateId) -> Option<&[Item]> {
+        let k = id.index().checked_sub(self.first_new)?;
+        let end = *self.kernel_ends.get(k)?;
+        let start = if k == 0 { 0 } else { self.kernel_ends[k - 1] };
+        Some(&self.kernel_items[start..end])
+    }
+
+    /// Marks every chunk the pending writes land in.
+    fn touched_chunks(&self, num_chunks: usize) -> Vec<bool> {
+        let mut touched = vec![false; num_chunks];
+        let created = (0..self.kernel_ends.len()).map(|k| StateId::from_index(self.first_new + k));
+        let expanded = self.expansions.iter().map(|e| e.id);
+        for id in created
+            .chain(expanded)
+            .chain(self.increments.iter().copied())
+        {
+            touched[chunk_of(id)] = true;
+        }
+        touched
+    }
+
+    /// Applies the writes that land in chunks `base..base + chunks.len()`
+    /// (those present in `chunks`): new nodes first, in id order, then the
+    /// completed expansions, then the increments.
+    fn apply(&self, base: usize, chunks: &mut [Option<&mut NodeChunk>]) {
+        fn chunk_for<'a>(
+            chunks: &'a mut [Option<&mut NodeChunk>],
+            base: usize,
+            id: StateId,
+        ) -> Option<&'a mut NodeChunk> {
+            chunks
+                .get_mut(chunk_of(id).wrapping_sub(base))?
+                .as_deref_mut()
+        }
+        let mut start = 0;
+        for (k, &end) in self.kernel_ends.iter().enumerate() {
+            let id = StateId::from_index(self.first_new + k);
+            if let Some(chunk) = chunk_for(chunks, base, id) {
+                debug_assert_eq!(chunk.nodes.len(), slot_of(id));
+                let node =
+                    ItemSetNode::new(id, self.kernel_items[start..end].iter().copied().collect());
+                chunk.bytes += node_heap_bytes(&node);
+                chunk.nodes.push(Arc::new(node));
+            }
+            start = end;
+        }
+        let (mut t_start, mut r_start) = (0, 0);
+        for e in &self.expansions {
+            let transitions = &self.transitions[t_start..e.transitions_end];
+            let reductions = &self.reductions[r_start..e.reductions_end];
+            (t_start, r_start) = (e.transitions_end, e.reductions_end);
+            let Some(chunk) = chunk_for(chunks, base, e.id) else {
+                continue;
+            };
+            // Keep the chunk's MODIFY summary a superset of its live
+            // complete nodes' transition symbols.
+            chunk.merge_summary(transitions.iter().map(|&(symbol, _)| symbol));
+            chunk.update(slot_of(e.id), |node| {
+                node.transitions = transitions.iter().copied().collect();
+                node.reductions = reductions.to_vec();
+                node.accepting = e.accepting;
+                node.kind = ItemSetKind::Complete;
+                // The dense row shadows the (old) transitions; rebuild on
+                // demand. Readers observe the kind change and the dropped
+                // row atomically: both happen under the store's write lock.
+                node.row = None;
+            });
+        }
+        for &id in &self.increments {
+            if let Some(chunk) = chunk_for(chunks, base, id) {
+                chunk.update(slot_of(id), |n| n.refcount += 1);
+            }
+        }
+    }
+}
+
+/// Runs `work(state, i)` for every `i` in `0..len` on `threads` scoped
+/// workers that claim indices dynamically, each with its own `init()`
+/// state, and returns the results in index order.
+fn fan_out<S, T: Send>(
+    len: usize,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
+    let cursor = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.min(len))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut done = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= len {
+                            break;
+                        }
+                        done.push((i, work(&mut state, i)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, value) in handle.join().expect("fan-out worker panicked") {
+                slots[i] = Some(value);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index was claimed"))
+        .collect()
 }
 
 /// Errors reported by the public node accessors of the shared graph.
@@ -622,51 +958,98 @@ impl ChunkObserver {
     }
 }
 
-/// Number of shards of the kernel index. The index maps kernels to state
-/// ids; sharding bounds the copy-on-write cost of the first post-fork
-/// interning to `O(#states / 64)` instead of the whole index.
+/// Number of shards of the kernel index. Sharding bounds the
+/// copy-on-write cost of the first post-fork interning to one shard's
+/// `O(#states / 64)` fingerprint/id pairs — integers only, since the
+/// index holds no copy of any kernel.
 const KERNEL_SHARDS: usize = 64;
 
-/// The kernel → state index, sharded into `Arc`'d hash maps so a fork
+/// The kernel → state index of the live nodes, keyed by the 64-bit
+/// [`fingerprint`] of each kernel and sharded into `Arc`'d maps, so a fork
 /// clones 64 pointers and writes copy only the shard they touch.
+///
+/// A fingerprint maps to *candidate* states; a lookup confirms each
+/// candidate against the node's stored kernel (the caller's `is_kernel`),
+/// so a collision between distinct kernels costs one comparison, never a
+/// wrong state. The first candidate of a fingerprint sits in the map;
+/// further ones (collisions) in a per-shard overflow list that is almost
+/// always empty.
 #[derive(Clone, Debug)]
 struct KernelIndex {
-    shards: Vec<Arc<HashMap<ItemSet, StateId>>>,
+    shards: Vec<Arc<KernelShard>>,
+}
+
+#[derive(Clone, Debug, Default)]
+struct KernelShard {
+    first: HashMap<u64, StateId>,
+    more: Vec<(u64, StateId)>,
 }
 
 impl KernelIndex {
     fn new() -> Self {
         KernelIndex {
             shards: (0..KERNEL_SHARDS)
-                .map(|_| Arc::new(HashMap::new()))
+                .map(|_| Arc::new(KernelShard::default()))
                 .collect(),
         }
     }
 
-    /// Deterministic shard choice (stable across forks, which share the
-    /// shard vector).
-    fn shard_of(kernel: &ItemSet) -> usize {
-        let mut hasher = DefaultHasher::new();
-        kernel.hash(&mut hasher);
-        (hasher.finish() as usize) % KERNEL_SHARDS
+    fn shard_of(fingerprint: u64) -> usize {
+        (fingerprint % KERNEL_SHARDS as u64) as usize
     }
 
-    fn get(&self, kernel: &ItemSet) -> Option<StateId> {
-        self.shards[Self::shard_of(kernel)].get(kernel).copied()
+    /// The indexed state whose kernel has `fingerprint` and satisfies
+    /// `is_kernel`.
+    fn get(&self, fingerprint: u64, mut is_kernel: impl FnMut(StateId) -> bool) -> Option<StateId> {
+        let shard = &self.shards[Self::shard_of(fingerprint)];
+        let first = *shard.first.get(&fingerprint)?;
+        if is_kernel(first) {
+            return Some(first);
+        }
+        shard
+            .more
+            .iter()
+            .filter(|&&(fp, _)| fp == fingerprint)
+            .map(|&(_, id)| id)
+            .find(|&id| is_kernel(id))
     }
 
-    fn insert(&mut self, kernel: ItemSet, id: StateId) {
-        let shard = Self::shard_of(&kernel);
-        Arc::make_mut(&mut self.shards[shard]).insert(kernel, id);
+    /// Adds `id` as a candidate of `fingerprint`. The caller guarantees no
+    /// other indexed state has an equal kernel.
+    fn insert(&mut self, fingerprint: u64, id: StateId) {
+        let shard = Arc::make_mut(&mut self.shards[Self::shard_of(fingerprint)]);
+        if let Some(&first) = shard.first.get(&fingerprint) {
+            if first != id {
+                shard.more.push((fingerprint, id));
+            }
+        } else {
+            shard.first.insert(fingerprint, id);
+        }
     }
 
-    /// Removes the entry for `kernel` if it still maps to `id` (a newer
-    /// live node may have reused the kernel). Avoids copying the shard
-    /// when there is nothing to remove.
-    fn remove_if(&mut self, kernel: &ItemSet, id: StateId) {
-        let shard = Self::shard_of(kernel);
-        if self.shards[shard].get(kernel) == Some(&id) {
-            Arc::make_mut(&mut self.shards[shard]).remove(kernel);
+    /// Removes `id` from the candidates of `fingerprint`, if it is one (a
+    /// newer live node may have taken over the kernel). Avoids copying the
+    /// shard when there is nothing to remove.
+    fn remove_if(&mut self, fingerprint: u64, id: StateId) {
+        let s = Self::shard_of(fingerprint);
+        let shard = &self.shards[s];
+        if shard.first.get(&fingerprint) == Some(&id) {
+            let shard = Arc::make_mut(&mut self.shards[s]);
+            match shard.more.iter().position(|&(fp, _)| fp == fingerprint) {
+                Some(pos) => {
+                    let (_, next) = shard.more.swap_remove(pos);
+                    shard.first.insert(fingerprint, next);
+                }
+                None => {
+                    shard.first.remove(&fingerprint);
+                }
+            }
+        } else if let Some(pos) = shard
+            .more
+            .iter()
+            .position(|&entry| entry == (fingerprint, id))
+        {
+            Arc::make_mut(&mut self.shards[s]).more.swap_remove(pos);
         }
     }
 
@@ -698,6 +1081,38 @@ struct GraphInner {
     gc_stack: Vec<StateId>,
     /// Scratch for `MODIFY`'s invalidated-state list.
     scratch_invalidated: Vec<StateId>,
+    /// Scratch of the serial path's closures (see [`ExpandScratch`]).
+    scratch_expand: ExpandScratch,
+    /// The serial path's reused expansion result.
+    scratch_computed: ComputedExpansion,
+    /// Store writes not yet applied; empty between writer operations.
+    pending: PendingWrites,
+    /// Time the lazy path spent in the read-only half of `EXPAND`
+    /// (reported as `GenStats::expand_compute_us`).
+    expand_compute: Duration,
+    /// Time the lazy path spent in the write half of `EXPAND`
+    /// (reported as `GenStats::expand_commit_us`).
+    expand_commit: Duration,
+}
+
+impl GraphInner {
+    fn new(grammar_version: u64) -> Self {
+        GraphInner {
+            len: 0,
+            kernel_index: KernelIndex::new(),
+            stats: GenStats::default(),
+            grammar_version,
+            scratch_targets: Vec::new(),
+            scratch_pending: Vec::new(),
+            gc_stack: Vec::new(),
+            scratch_invalidated: Vec::new(),
+            scratch_expand: ExpandScratch::default(),
+            scratch_computed: ComputedExpansion::default(),
+            pending: PendingWrites::default(),
+            expand_compute: Duration::ZERO,
+            expand_commit: Duration::ZERO,
+        }
+    }
 }
 
 impl Clone for GraphInner {
@@ -713,6 +1128,11 @@ impl Clone for GraphInner {
             scratch_pending: Vec::new(),
             gc_stack: Vec::new(),
             scratch_invalidated: Vec::new(),
+            scratch_expand: ExpandScratch::default(),
+            scratch_computed: ComputedExpansion::default(),
+            pending: PendingWrites::default(),
+            expand_compute: self.expand_compute,
+            expand_commit: self.expand_commit,
         }
     }
 }
@@ -789,16 +1209,7 @@ impl ItemSetGraph {
         let graph = ItemSetGraph {
             store: RwLock::new(Vec::new()),
             published: RwLock::new(Arc::new(TableSnapshot::default())),
-            inner: Mutex::new(GraphInner {
-                len: 0,
-                kernel_index: KernelIndex::new(),
-                stats: GenStats::default(),
-                grammar_version: grammar.version(),
-                scratch_targets: Vec::new(),
-                scratch_pending: Vec::new(),
-                gc_stack: Vec::new(),
-                scratch_invalidated: Vec::new(),
-            }),
+            inner: Mutex::new(GraphInner::new(grammar.version())),
             action_calls: AtomicUsize::new(0),
             goto_calls: AtomicUsize::new(0),
             chunks_cowed: AtomicUsize::new(0),
@@ -807,7 +1218,9 @@ impl ItemSetGraph {
         };
         {
             let mut inner = graph.inner.lock().unwrap();
-            let start = graph.intern_kernel_locked(&mut inner, start_kernel(grammar));
+            let kernel: Vec<Item> = start_kernel(grammar).into_iter().collect();
+            let start = graph.intern_kernel_locked(&mut inner, &kernel, fingerprint(&kernel), None);
+            graph.flush_pending_locked(&mut inner, 1);
             debug_assert_eq!(start, StateId(0));
         }
         graph
@@ -832,7 +1245,11 @@ impl ItemSetGraph {
     /// A snapshot of the work counters. `resident_bytes` is sampled live
     /// from the chunk accounting (a gauge, not a counter).
     pub fn stats(&self) -> GenStats {
-        let mut stats = self.inner.lock().unwrap().stats;
+        let inner = self.inner.lock().unwrap();
+        let mut stats = inner.stats;
+        stats.expand_compute_us += inner.expand_compute.as_micros() as usize;
+        stats.expand_commit_us += inner.expand_commit.as_micros() as usize;
+        drop(inner);
         stats.action_calls += self.action_calls.load(Ordering::Relaxed);
         stats.goto_calls += self.goto_calls.load(Ordering::Relaxed);
         stats.chunks_cowed += self.chunks_cowed.load(Ordering::Relaxed);
@@ -940,6 +1357,75 @@ impl ItemSetGraph {
         size
     }
 
+    /// Runs `work` over the storage chunks `wanted` selects, on `threads`
+    /// scoped workers. The selected chunks are first made unique (copy on
+    /// write, serially); then each worker gets one of `threads` disjoint,
+    /// contiguous, equally long slices of the chunk vector, in which entry
+    /// `k` is chunk `base + k` if it was selected and `None` otherwise, and
+    /// runs `work(base, slice)` on it. Returns the workers' results.
+    fn for_chunk_slices<R: Send>(
+        &self,
+        threads: usize,
+        wanted: impl Fn(usize, &NodeChunk) -> bool,
+        work: impl Fn(usize, &mut [Option<&mut NodeChunk>]) -> R + Sync,
+    ) -> Vec<R> {
+        let mut store = self.store.write().unwrap();
+        let selected: Vec<bool> = store
+            .iter()
+            .enumerate()
+            .map(|(c, chunk)| wanted(c, chunk))
+            .collect();
+        for c in (0..store.len()).filter(|&c| selected[c]) {
+            let _ = self.chunk_mut(&mut store, c);
+        }
+        let mut chunks: Vec<Option<&mut NodeChunk>> = store
+            .iter_mut()
+            .zip(&selected)
+            .map(|(arc, &selected)| {
+                selected.then(|| Arc::get_mut(arc).expect("chunk was unshared above"))
+            })
+            .collect();
+        if threads <= 1 || selected.iter().filter(|&&s| s).count() < 2 {
+            return vec![work(0, &mut chunks)];
+        }
+        let per = chunks.len().div_ceil(threads);
+        let work = &work;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .chunks_mut(per)
+                .enumerate()
+                .map(|(k, slice)| scope.spawn(move || work(k * per, slice)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("chunk worker panicked"))
+                .collect()
+        })
+    }
+
+    /// Applies the buffered [`PendingWrites`] to the store, over `threads`
+    /// workers by storage chunk.
+    fn flush_pending_locked(&self, inner: &mut GraphInner, threads: usize) {
+        let pending = std::mem::take(&mut inner.pending);
+        if !pending.is_empty() {
+            let num_chunks = chunk_of(StateId::from_index(inner.len - 1)) + 1;
+            {
+                let mut store = self.store.write().unwrap();
+                while store.len() < num_chunks {
+                    store.push(Arc::new(NodeChunk::default()));
+                }
+            }
+            let touched = pending.touched_chunks(num_chunks);
+            self.for_chunk_slices(
+                threads,
+                |c, _| touched[c],
+                |base, chunks| pending.apply(base, chunks),
+            );
+        }
+        inner.pending = pending;
+        inner.pending.clear();
+    }
+
     /// An exclusive borrow of chunk `c`, copying it on write when it is
     /// still shared with another fork. The copy clones the chunk's node
     /// pointers and symbol summary, not the nodes; node writes then go
@@ -968,22 +1454,53 @@ impl ItemSetGraph {
             .update(slot_of(id), f)
     }
 
-    fn intern_kernel_locked(&self, inner: &mut GraphInner, kernel: ItemSet) -> StateId {
-        if let Some(id) = inner.kernel_index.get(&kernel) {
+    /// `true` when node `id`'s kernel is exactly `run` (sorted items).
+    fn kernel_is(&self, id: StateId, run: &[Item]) -> bool {
+        self.with_node(id, |n| kernel_matches(n, run))
+    }
+
+    /// `true` when nodes `a` and `b` have equal kernels.
+    fn kernels_equal(&self, a: StateId, b: StateId) -> bool {
+        let store = self.store.read().unwrap();
+        let node = |id: StateId| &store[chunk_of(id)].nodes[slot_of(id)];
+        node(a).kernel == node(b).kernel
+    }
+
+    /// Returns the live state whose kernel is `run` (sorted items with
+    /// fingerprint `fp`), creating it as an initial node if there is none
+    /// (buffered in [`PendingWrites`]). Only a new state builds a
+    /// `BTreeSet` kernel.
+    ///
+    /// `existing` is a live state that a read-only lookup found for the
+    /// kernel earlier in the same writer critical section (the parallel
+    /// warm resolves successors before committing them). It is still the
+    /// answer: nodes leave the index only when they die, and no other node
+    /// can have been indexed with its kernel meanwhile.
+    fn intern_kernel_locked(
+        &self,
+        inner: &mut GraphInner,
+        run: &[Item],
+        fp: u64,
+        existing: Option<StateId>,
+    ) -> StateId {
+        inner.stats.kernel_lookups += 1;
+        let pending = &inner.pending;
+        let found = existing.or_else(|| {
+            inner
+                .kernel_index
+                .get(fp, |id| match pending.new_kernel(id) {
+                    Some(kernel) => kernel == run,
+                    None => self.kernel_is(id, run),
+                })
+        });
+        if let Some(id) = found {
+            inner.stats.kernel_hits += 1;
             return id;
         }
         let id = StateId::from_index(inner.len);
         inner.len += 1;
-        inner.kernel_index.insert(kernel.clone(), id);
-        let mut store = self.store.write().unwrap();
-        if chunk_of(id) == store.len() {
-            store.push(Arc::new(NodeChunk::default()));
-        }
-        let chunk = self.chunk_mut(&mut store, chunk_of(id));
-        debug_assert_eq!(chunk.nodes.len(), slot_of(id));
-        let node = ItemSetNode::new(id, kernel);
-        chunk.bytes += node_heap_bytes(&node);
-        chunk.nodes.push(Arc::new(node));
+        inner.kernel_index.insert(fp, id);
+        inner.pending.create(id, run);
         inner.stats.nodes_created += 1;
         id
     }
@@ -1077,26 +1594,42 @@ impl ItemSetGraph {
         self.ensure_row_locked(&mut inner, grammar, id);
     }
 
+    /// The lazy path's `EXPAND` / `RE-EXPAND` of one node, with both
+    /// halves timed into the `expand_compute_us` / `expand_commit_us`
+    /// counters. Uses the writer's reusable buffers, so only the new
+    /// states it creates allocate.
     fn ensure_expanded_locked(&self, inner: &mut GraphInner, grammar: &Grammar, id: StateId) {
-        match self.with_node(id, |n| n.kind) {
-            ItemSetKind::Complete => {}
-            ItemSetKind::Initial => self.expand_locked(inner, grammar, id),
-            ItemSetKind::Dirty => self.re_expand_locked(inner, grammar, id),
+        let kind = self.with_node(id, |n| n.kind);
+        if kind == ItemSetKind::Complete {
+            return;
         }
+        let started = Instant::now();
+        let computed = self.compute_expansion_locked(inner, grammar, id);
+        let computed_at = Instant::now();
+        self.commit_by_kind_locked(inner, id, kind, &computed);
+        self.flush_pending_locked(inner, 1);
+        inner.expand_commit += computed_at.elapsed();
+        inner.expand_compute += computed_at - started;
+        inner.scratch_computed = computed;
     }
 
-    /// The paper's `EXPAND`: transform an initial set of items into a
-    /// complete one.
-    fn expand_locked(&self, inner: &mut GraphInner, grammar: &Grammar, id: StateId) {
-        inner.stats.expansions += 1;
-        self.expand_common_locked(inner, grammar, id);
-    }
-
-    /// The paper's `RE-EXPAND` (§6.2): expand a dirty set of items, then
-    /// release the references its old transitions held.
-    fn re_expand_locked(&self, inner: &mut GraphInner, grammar: &Grammar, id: StateId) {
-        let computed = self.compute_expansion(grammar, id);
-        self.re_commit_expansion_locked(inner, id, computed);
+    /// The write half of the paper's `EXPAND` for an initial node, or of
+    /// `RE-EXPAND` (§6.2) for a dirty one.
+    fn commit_by_kind_locked(
+        &self,
+        inner: &mut GraphInner,
+        id: StateId,
+        kind: ItemSetKind,
+        computed: &ComputedExpansion,
+    ) {
+        match kind {
+            ItemSetKind::Initial => {
+                inner.stats.expansions += 1;
+                self.commit_expansion_locked(inner, id, computed);
+            }
+            ItemSetKind::Dirty => self.re_commit_expansion_locked(inner, id, computed),
+            ItemSetKind::Complete => {}
+        }
     }
 
     /// The write half of `RE-EXPAND`: commit a precomputed expansion over
@@ -1105,7 +1638,7 @@ impl ItemSetGraph {
         &self,
         inner: &mut GraphInner,
         id: StateId,
-        computed: ComputedExpansion,
+        computed: &ComputedExpansion,
     ) {
         inner.stats.re_expansions += 1;
         let mut old_targets = std::mem::take(&mut inner.scratch_targets);
@@ -1115,6 +1648,7 @@ impl ItemSetGraph {
         });
         self.commit_expansion_locked(inner, id, computed);
         if self.refcounting() {
+            self.flush_pending_locked(inner, 1);
             for &target in &old_targets {
                 self.decr_refcount_locked(inner, target);
             }
@@ -1122,56 +1656,56 @@ impl ItemSetGraph {
         inner.scratch_targets = old_targets;
     }
 
-    fn expand_common_locked(&self, inner: &mut GraphInner, grammar: &Grammar, id: StateId) {
-        let computed = self.compute_expansion(grammar, id);
-        self.commit_expansion_locked(inner, id, computed);
-    }
-
-    /// The read-only half of `EXPAND` for one resident node: clones the
-    /// node's (immutable-within-a-write) kernel and runs the pure
-    /// `compute_expansion_of` on it. The steady-state miss path and small
-    /// warm rounds use this; the parallel warm's fan-out
-    /// ([`ItemSetGraph::expand_all_parallel`]) clones whole frontiers of
-    /// kernels up front and calls `compute_expansion_of` directly so its
-    /// workers never touch the store.
-    fn compute_expansion(&self, grammar: &Grammar, id: StateId) -> ComputedExpansion {
-        let kernel = self.with_node(id, |n| n.kernel.clone());
-        compute_expansion_of(grammar, &kernel)
+    /// The read-only half of `EXPAND` for one resident node, into the
+    /// writer's reusable buffers (returned; the caller hands them back via
+    /// `scratch_computed`). The kernel is read in place under the store's
+    /// read lock, which no other writer can contend for while the caller
+    /// holds the writer mutex.
+    fn compute_expansion_locked(
+        &self,
+        inner: &mut GraphInner,
+        grammar: &Grammar,
+        id: StateId,
+    ) -> ComputedExpansion {
+        let mut computed = std::mem::take(&mut inner.scratch_computed);
+        let scratch = &mut inner.scratch_expand;
+        self.with_node(id, |n| {
+            compute_expansion_of(grammar, n.kernel.iter().copied(), scratch, &mut computed)
+        });
+        computed
     }
 
     /// The write half of `EXPAND`: intern the successor kernels (in symbol
     /// order, so state numbering is deterministic and identical to the
-    /// fully serial expansion) and publish the node as complete.
+    /// fully serial expansion) and buffer the node's completion.
     fn commit_expansion_locked(
         &self,
         inner: &mut GraphInner,
         id: StateId,
-        computed: ComputedExpansion,
+        computed: &ComputedExpansion,
     ) {
         inner.stats.closures += 1;
-        let mut transitions = BTreeMap::new();
-        for (symbol, succ_kernel) in computed.successors {
-            let target = self.intern_kernel_locked(inner, succ_kernel);
-            transitions.insert(symbol, target);
+        for (succ, run) in computed.successor_runs() {
+            // A state the read-only phase found is still the answer unless
+            // refcount GC has collected some node since.
+            let existing = succ.existing.filter(|&found| {
+                inner.stats.nodes_collected == computed.collected_at_resolve
+                    || self.with_node(found, |n| n.alive)
+            });
+            debug_assert!(existing.is_some() || !run.is_empty() || succ.existing.is_none());
+            let target = self.intern_kernel_locked(inner, run, succ.fingerprint, existing);
+            inner.pending.transitions.push((succ.symbol, target));
             if self.refcounting() {
-                self.with_node_mut(target, |n| n.refcount += 1);
+                inner.pending.increments.push(target);
             }
         }
-
-        let mut store = self.store.write().unwrap();
-        let chunk = self.chunk_mut(&mut store, chunk_of(id));
-        // Keep the chunk's MODIFY summary a superset of its live complete
-        // nodes' transition symbols.
-        chunk.merge_summary(transitions.keys().copied());
-        chunk.update(slot_of(id), |node| {
-            node.transitions = transitions;
-            node.reductions = computed.reductions;
-            node.accepting = computed.accepting;
-            node.kind = ItemSetKind::Complete;
-            // The dense row shadows the (old) transitions; rebuild on
-            // demand. Readers observe the kind change and the dropped row
-            // atomically: both happen under the store's write lock.
-            node.row = None;
+        let pending = &mut inner.pending;
+        pending.reductions.extend_from_slice(&computed.reductions);
+        pending.expansions.push(PendingExpansion {
+            id,
+            transitions_end: pending.transitions.len(),
+            reductions_end: pending.reductions.len(),
+            accepting: computed.accepting,
         });
     }
 
@@ -1311,36 +1845,7 @@ impl ItemSetGraph {
         let chunks: Vec<Arc<SnapChunk>> = if threads <= 1 || store.len() < 2 {
             store.iter().map(|chunk| snap_chunk_of(chunk)).collect()
         } else {
-            let cursor = AtomicUsize::new(0);
-            let mut slots: Vec<Option<Arc<SnapChunk>>> = vec![None; store.len()];
-            std::thread::scope(|scope| {
-                let cursor = &cursor;
-                let store = &store;
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            loop {
-                                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                                if c >= store.len() {
-                                    break;
-                                }
-                                out.push((c, snap_chunk_of(&store[c])));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    for (c, chunk) in handle.join().unwrap() {
-                        slots[c] = Some(chunk);
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every chunk index was assembled"))
-                .collect()
+            fan_out(store.len(), threads, || (), |_, c| snap_chunk_of(&store[c]))
         };
         drop(store);
         let bytes = chunks.iter().map(|chunk| snap_chunk_bytes(chunk)).sum();
@@ -1379,7 +1884,7 @@ impl ItemSetGraph {
                 self.with_node_mut(id, |n| n.refcount -= 1);
                 continue;
             }
-            let (kernel, targets) = self.with_node_mut(id, |node| {
+            let (fp, targets) = self.with_node_mut(id, |node| {
                 node.refcount = 0;
                 node.alive = false;
                 // A dead node is never queried again; free its row (the
@@ -1390,12 +1895,12 @@ impl ItemSetGraph {
                 } else {
                     Vec::new()
                 };
-                (std::mem::take(&mut node.kernel), targets)
+                (fingerprint(&std::mem::take(&mut node.kernel)), targets)
             });
             inner.stats.nodes_collected += 1;
             // Only remove the index entry if it still points at this node
             // (a newer live node may have reused the kernel).
-            inner.kernel_index.remove_if(&kernel, id);
+            inner.kernel_index.remove_if(fp, id);
             stack.extend(targets);
             self.unpublish_entry(id);
         }
@@ -1465,8 +1970,8 @@ impl ItemSetGraph {
             // The start item set's kernel is derived from the START rules;
             // keep it in sync and re-expand it lazily.
             let start = self.start;
-            let (was_complete, old_kernel, new_kernel) = self.with_node_mut(start, |node| {
-                let old_kernel = node.kernel.clone();
+            let (was_complete, old_fp, new_fp) = self.with_node_mut(start, |node| {
+                let old_fp = fingerprint(&node.kernel);
                 let item = Item::start(rule);
                 if added {
                     node.kernel.insert(item);
@@ -1478,7 +1983,7 @@ impl ItemSetGraph {
                     node.kind = invalidated_kind;
                     node.row = None;
                 }
-                (was_complete, old_kernel, node.kernel.clone())
+                (was_complete, old_fp, fingerprint(&node.kernel))
             });
             if was_complete {
                 inner.stats.invalidations += 1;
@@ -1486,9 +1991,14 @@ impl ItemSetGraph {
             }
             // Keep the kernel index in sync with the changed kernel —
             // targeted: the start node's previous kernel is its only
-            // possible entry.
-            inner.kernel_index.remove_if(&old_kernel, start);
-            inner.kernel_index.insert(new_kernel, start);
+            // possible entry. The start node takes the new kernel's entry
+            // over from any other live node with an equal kernel.
+            inner.kernel_index.remove_if(old_fp, start);
+            let same_kernel = |id| self.kernels_equal(id, start);
+            if let Some(other) = inner.kernel_index.get(new_fp, same_kernel) {
+                inner.kernel_index.remove_if(new_fp, other);
+            }
+            inner.kernel_index.insert(new_fp, start);
         } else {
             // Invalidate through the chunk summaries: only chunks whose
             // summary may contain `lhs` are inspected, and only chunks
@@ -1623,7 +2133,7 @@ impl ItemSetGraph {
             let sweep = node.alive && !keep[node.id.index()];
             sweep || node.refcount != refcounts[node.id.index()]
         };
-        let mut swept: Vec<(ItemSet, StateId)> = Vec::new();
+        let mut swept: Vec<(u64, StateId)> = Vec::new();
         for c in 0..store.len() {
             if !store[c].nodes.iter().any(|node| changed(node)) {
                 continue;
@@ -1639,14 +2149,14 @@ impl ItemSetGraph {
                         node.alive = false;
                         node.row = None;
                         inner.stats.nodes_swept += 1;
-                        swept.push((std::mem::take(&mut node.kernel), node.id));
+                        swept.push((fingerprint(&std::mem::take(&mut node.kernel)), node.id));
                     }
                 });
             }
             chunk.rebuild_summary();
         }
-        for (kernel, id) in swept {
-            inner.kernel_index.remove_if(&kernel, id);
+        for (fp, id) in swept {
+            inner.kernel_index.remove_if(fp, id);
         }
     }
 
@@ -1661,20 +2171,17 @@ impl ItemSetGraph {
     /// [`ItemSetGraph::expand_all`] with the frontier fanned out over
     /// `threads` worker threads.
     ///
-    /// The expansion runs in **pipelined rounds**: each round collects the
-    /// pending frontier in id order (exactly the serial scan) and clones
-    /// its kernels out of the store, workers compute the read-only half of
-    /// every expansion concurrently (closure, successor partition,
-    /// reductions — the bulk of the work, touching no graph locks), and
-    /// the committer consumes the results *in frontier order as they
-    /// arrive*, interning successor kernels in symbol order while the
-    /// workers keep computing. Because interning order is identical to the
-    /// serial expansion, the resulting graph is **bit-identical** to
-    /// `expand_all(grammar)`: same state ids, same kernel index, same rows
-    /// (the parallel-warm equivalence proptest holds this to 256
-    /// randomized grammars). Pipelining keeps the serial commit off the
-    /// critical path: round wall-clock is `max(compute / threads, commit)`
-    /// rather than their sum.
+    /// The expansion runs in rounds over the pending frontier, collected in
+    /// id order (exactly the serial scan). In each round the workers
+    /// compute the read-only half of every expansion and resolve its
+    /// successors against the kernel index while the graph is read-only;
+    /// the writer then commits the results in frontier order, interning
+    /// only the kernels that are new in this round; and the workers apply
+    /// the round's buffered store writes, one slice of storage chunks
+    /// each. Because interning order is identical to the serial expansion,
+    /// the resulting graph is **bit-identical** to `expand_all(grammar)`:
+    /// same state ids, same kernel index, same rows (the parallel-warm
+    /// equivalence proptest holds this to 256 randomized grammars).
     ///
     /// The whole warm holds the writer mutex, so it serializes with
     /// steady-state misses and `MODIFY` like any other write — the
@@ -1687,15 +2194,19 @@ impl ItemSetGraph {
         let mut inner = self.inner.lock().unwrap();
         inner.stats.warm_threads_used = inner.stats.warm_threads_used.max(threads);
         let mut pending = std::mem::take(&mut inner.scratch_pending);
-        let mut kernels: Vec<ItemSet> = Vec::new();
+        // A round expands its whole frontier (or finds it collected), so
+        // after the first scan only the states it created can be pending.
+        let mut scanned = 0;
         loop {
             pending.clear();
-            for i in 0..inner.len {
-                let id = StateId::from_index(i);
-                if self.with_node(id, |n| n.alive && n.needs_expansion()) {
-                    pending.push(id);
-                }
+            {
+                let store = self.store.read().unwrap();
+                pending.extend((scanned..inner.len).map(StateId::from_index).filter(|&id| {
+                    let node = &store[chunk_of(id)].nodes[slot_of(id)];
+                    node.alive && node.needs_expansion()
+                }));
             }
+            scanned = inner.len;
             if pending.is_empty() {
                 break;
             }
@@ -1704,59 +2215,54 @@ impl ItemSetGraph {
                 for &id in &pending {
                     // Re-check before committing: a re-expansion committed
                     // earlier in this round may have collected the node.
-                    match self.with_node(id, |n| (n.alive, n.kind)) {
-                        (true, ItemSetKind::Initial) => {
-                            inner.stats.expansions += 1;
-                            let computed = self.compute_expansion(grammar, id);
-                            self.commit_expansion_locked(&mut inner, id, computed);
-                        }
-                        (true, ItemSetKind::Dirty) => {
-                            let computed = self.compute_expansion(grammar, id);
-                            self.re_commit_expansion_locked(&mut inner, id, computed);
-                        }
-                        _ => {}
+                    let (alive, kind) = self.with_node(id, |n| (n.alive, n.kind));
+                    if alive && kind != ItemSetKind::Complete {
+                        let computed = self.compute_expansion_locked(&mut inner, grammar, id);
+                        self.commit_by_kind_locked(&mut inner, id, kind, &computed);
+                        inner.scratch_computed = computed;
                     }
                 }
+                self.flush_pending_locked(&mut inner, 1);
             } else {
-                // Pipelined round: clone the frontier's kernels out of the
-                // store up front so the workers run lock-free, then commit
-                // each result in frontier order as soon as it is deposited
-                // — interning overlaps with the remaining closures.
-                kernels.clear();
-                kernels.extend(
-                    pending
+                // Read-only phase: the workers compute every expansion of
+                // the round and resolve its successors against the index,
+                // reading kernels straight out of the store — nothing
+                // writes the graph until they are done.
+                let computed = {
+                    let store = self.store.read().unwrap();
+                    let (index, collected) = (&inner.kernel_index, inner.stats.nodes_collected);
+                    let node = |id: StateId| &store[chunk_of(id)].nodes[slot_of(id)];
+                    // Only re-expansions collect nodes; without them every
+                    // successor found stays valid, and its run is not needed.
+                    let keep_runs = pending
                         .iter()
-                        .map(|&id| self.with_node(id, |n| n.kernel.clone())),
-                );
-                let round = RoundQueue::new(pending.len());
-                std::thread::scope(|scope| {
-                    for _ in 0..threads.min(pending.len()) {
-                        let round = &round;
-                        let kernels = &kernels;
-                        scope.spawn(move || {
-                            while let Some(i) = round.claim(kernels.len()) {
-                                round.deposit(i, compute_expansion_of(grammar, &kernels[i]));
-                            }
-                        });
+                        .any(|&id| node(id).kind == ItemSetKind::Dirty);
+                    fan_out(
+                        pending.len(),
+                        threads,
+                        ExpandScratch::default,
+                        |scratch, i| {
+                            let mut computed = ComputedExpansion::default();
+                            let kernel = node(pending[i]).kernel.iter().copied();
+                            compute_expansion_of(grammar, kernel, scratch, &mut computed);
+                            computed.resolve(index, collected, keep_runs, |id, run| {
+                                kernel_matches(node(id), run)
+                            });
+                            computed
+                        },
+                    )
+                };
+                // Commit phase, serial and in frontier order.
+                for (&id, computed) in pending.iter().zip(&computed) {
+                    // Re-check under the still-held writer: a re-expansion
+                    // committed earlier in this round may have collected
+                    // the node (its precomputed result is then dropped).
+                    let (alive, kind) = self.with_node(id, |n| (n.alive, n.kind));
+                    if alive {
+                        self.commit_by_kind_locked(&mut inner, id, kind, computed);
                     }
-                    for (i, &id) in pending.iter().enumerate() {
-                        let computed = round.take(i);
-                        // Re-check under the still-held writer: a
-                        // re-expansion committed earlier in this round may
-                        // have collected the node (its precomputed result
-                        // is then simply dropped).
-                        match self.with_node(id, |n| (n.alive, n.kind)) {
-                            (true, ItemSetKind::Initial) => {
-                                inner.stats.expansions += 1;
-                                self.commit_expansion_locked(&mut inner, id, computed);
-                            }
-                            (true, ItemSetKind::Dirty) => {
-                                self.re_commit_expansion_locked(&mut inner, id, computed);
-                            }
-                            _ => {}
-                        }
-                    }
-                });
+                }
+                self.flush_pending_locked(&mut inner, threads);
             }
             inner.stats.warm_batches_published += 1;
         }
@@ -1781,58 +2287,20 @@ impl ItemSetGraph {
         let mut inner = self.inner.lock().unwrap();
         let num_symbols = grammar.symbols().len();
         let version = grammar.version();
-        let needs_rows = |chunk: &NodeChunk| {
+        let needs_rows = |_: usize, chunk: &NodeChunk| {
             chunk
                 .nodes
                 .iter()
                 .any(|n| n.alive && n.kind == ItemSetKind::Complete && n.row.is_none())
         };
-        {
-            let mut store = self.store.write().unwrap();
-            // Unshare every chunk that needs row writes (serial, O(#chunks)
-            // checks), then hand the now-unique chunks to workers disjointly.
-            for c in 0..store.len() {
-                if needs_rows(&store[c]) {
-                    let _ = self.chunk_mut(&mut store, c);
-                }
-            }
-            let mut chunk_refs: Vec<&mut NodeChunk> = store
+        let built = self.for_chunk_slices(threads, needs_rows, |_, chunks| {
+            chunks
                 .iter_mut()
-                .filter(|arc| needs_rows(arc))
-                .map(|arc| Arc::get_mut(arc).expect("chunk was unshared above"))
-                .collect();
-            let built = if threads <= 1 || chunk_refs.len() < 2 {
-                let mut built = 0;
-                for chunk in &mut chunk_refs {
-                    built += build_rows_in_chunk(chunk, num_symbols, version);
-                }
-                built
-            } else {
-                let mut built = 0;
-                std::thread::scope(|scope| {
-                    let per = chunk_refs.len().div_ceil(threads);
-                    let mut handles = Vec::new();
-                    let mut rest: &mut [&mut NodeChunk] = &mut chunk_refs;
-                    while !rest.is_empty() {
-                        let take = per.min(rest.len());
-                        let (head, tail) = std::mem::take(&mut rest).split_at_mut(take);
-                        rest = tail;
-                        handles.push(scope.spawn(move || {
-                            let mut built = 0;
-                            for chunk in head.iter_mut() {
-                                built += build_rows_in_chunk(chunk, num_symbols, version);
-                            }
-                            built
-                        }));
-                    }
-                    for handle in handles {
-                        built += handle.join().unwrap();
-                    }
-                });
-                built
-            };
-            inner.stats.rows_built += built;
-        }
+                .flatten()
+                .map(|chunk| build_rows_in_chunk(chunk, num_symbols, version))
+                .sum::<usize>()
+        });
+        inner.stats.rows_built += built.into_iter().sum::<usize>();
         // One batch publication instead of a copy-on-write snapshot per
         // row (which would be quadratic in the number of states).
         self.rebuild_published_parallel(threads);
@@ -1925,10 +2393,11 @@ impl ItemSetGraph {
     /// plus the published table snapshot. Served from the incrementally
     /// maintained per-chunk counters — O(#chunks), never O(#nodes).
     ///
-    /// The sharded kernel index is deliberately excluded: its entries are
-    /// clones of node kernels, so it is bounded by (and proportional to)
-    /// the node bytes already counted, and it is not evictable derived
-    /// state — re-lazification rebuilds it from scratch anyway.
+    /// The sharded kernel index is deliberately excluded: it holds one
+    /// fingerprint/id pair per live node, so it is bounded by (and far
+    /// smaller than) the node bytes already counted, and it is not
+    /// evictable derived state — re-lazification rebuilds it from scratch
+    /// anyway.
     pub fn resident_bytes(&self) -> usize {
         let store_bytes: usize = self.store.read().unwrap().iter().map(|c| c.bytes).sum();
         store_bytes + self.published.read().unwrap().bytes
@@ -2370,5 +2839,282 @@ mod tests {
         // The original graph still answers for the old grammar.
         assert!(graph.live_nodes().all(|n| n.kind == ItemSetKind::Complete));
         assert_eq!(graph.grammar_version(), g.version());
+    }
+
+    // ------------------------------------------------------------------
+    // The flat EXPAND against the eager generator's item-set functions
+    // ------------------------------------------------------------------
+
+    use ipg_lr::itemset::{closure, completed_items, partition_by_next_symbol};
+
+    /// Successor kernels in symbol order, reductions, accepting flag.
+    type Expansion = (Vec<(SymbolId, ItemSet)>, Vec<RuleId>, bool);
+
+    /// The expansion of `kernel` by the eager LR(0) generator's
+    /// `closure` / `partition_by_next_symbol` / `completed_items`.
+    fn oracle_expansion(g: &Grammar, kernel: &ItemSet) -> Expansion {
+        let closed = closure(g, kernel);
+        let successors = partition_by_next_symbol(g, &closed).into_iter().collect();
+        let mut reductions = Vec::new();
+        let mut accepting = false;
+        for item in completed_items(g, &closed) {
+            if !g.is_active(item.rule) {
+                continue;
+            }
+            if g.rule(item.rule).lhs == g.start_symbol() {
+                accepting = true;
+            } else {
+                reductions.push(item.rule);
+            }
+        }
+        reductions.sort();
+        reductions.dedup();
+        (successors, reductions, accepting)
+    }
+
+    /// `compute_expansion_of` on `kernel`, in the oracle's shape. Also
+    /// checks that every run is sorted, free of duplicates and carries its
+    /// own fingerprint.
+    fn flat_expansion(g: &Grammar, kernel: &ItemSet, scratch: &mut ExpandScratch) -> Expansion {
+        let mut computed = ComputedExpansion::default();
+        compute_expansion_of(g, kernel.iter().copied(), scratch, &mut computed);
+        let successors = computed
+            .successor_runs()
+            .map(|(succ, run)| {
+                assert!(
+                    run.windows(2).all(|w| w[0] < w[1]),
+                    "run is sorted and unique"
+                );
+                assert_eq!(succ.fingerprint, fingerprint(run));
+                (succ.symbol, run.iter().copied().collect())
+            })
+            .collect();
+        (successors, computed.reductions, computed.accepting)
+    }
+
+    /// Checks every live node: the flat expansion of its kernel equals the
+    /// oracle's, and so do a complete node's successor kernels, reductions
+    /// and accepting flag. Returns the number of complete nodes checked.
+    fn assert_matches_oracle(g: &Grammar, graph: &ItemSetGraph) -> usize {
+        // One scratch for every kernel, as the writer reuses its own.
+        let mut scratch = ExpandScratch::default();
+        let mut complete = 0;
+        for node in graph.live_nodes() {
+            let expected = oracle_expansion(g, &node.kernel);
+            assert_eq!(
+                flat_expansion(g, &node.kernel, &mut scratch),
+                expected,
+                "state {}",
+                node.id
+            );
+            if node.kind == ItemSetKind::Complete {
+                let successors = node
+                    .transitions
+                    .iter()
+                    .map(|(&symbol, &target)| (symbol, graph.node(target).kernel))
+                    .collect();
+                let stored = (successors, node.reductions.clone(), node.accepting);
+                assert_eq!(stored, expected, "state {}", node.id);
+                complete += 1;
+            }
+        }
+        complete
+    }
+
+    #[test]
+    fn flat_expansion_matches_the_itemset_oracle() {
+        let sdf = ipg_sdf::fixtures::sdf_grammar_and_scanner().grammar;
+        for (name, g) in [
+            ("booleans", fixtures::booleans()),
+            ("arithmetic", fixtures::arithmetic()),
+            ("palindromes (ε-rules)", fixtures::palindromes()),
+            ("SDF", sdf),
+            ("wide_synthetic(200)", fixtures::wide_synthetic(200)),
+        ] {
+            let serial = ItemSetGraph::new(&g);
+            serial.expand_all(&g);
+            assert_eq!(
+                assert_matches_oracle(&g, &serial),
+                serial.num_live(),
+                "{name}"
+            );
+            // The parallel warm resolves successors before committing
+            // them; its graph is the serial one, state for state.
+            let parallel = ItemSetGraph::new(&g);
+            parallel.expand_all_parallel(&g, 3);
+            assert_eq!(parallel.render(&g), serial.render(&g), "{name}");
+            let stats = serial.stats();
+            assert_eq!(
+                stats.kernel_lookups - stats.kernel_hits,
+                stats.nodes_created,
+                "{name}"
+            );
+            assert_eq!(
+                parallel.stats().kernel_lookups,
+                stats.kernel_lookups,
+                "{name}: resolved successors still count as lookups"
+            );
+        }
+    }
+
+    #[test]
+    fn dot0_kernel_items_are_not_added_again_by_the_closure() {
+        // `START ::= START y | z`: closing the START kernel reaches START
+        // again, whose dot-0 rules are already kernel items. A duplicate
+        // would show up twice in the run of the START successor.
+        let mut g = Grammar::new();
+        let start = g.start_symbol();
+        let (y, z) = (g.terminal("y"), g.terminal("z"));
+        g.add_rule(start, vec![start, y]);
+        g.add_rule(start, vec![z]);
+        let graph = ItemSetGraph::new(&g);
+        graph.expand_all(&g);
+        let kernel = graph.node(graph.start_state()).kernel;
+        assert!(kernel.len() == 2 && kernel.iter().all(|item| item.dot == 0));
+        assert_eq!(assert_matches_oracle(&g, &graph), graph.num_live());
+        assert!(graph
+            .node(graph.start_state())
+            .transitions
+            .contains_key(&start));
+    }
+
+    #[test]
+    fn stale_kernels_of_deleted_rules_expand_like_the_oracle() {
+        // Under `Retain` the states built for deleted rules stay alive, and
+        // their kernels still hold items of those rules, completed or not.
+        let mut g = fixtures::booleans();
+        let mut graph = ItemSetGraph::with_policy(&g, GcPolicy::Retain);
+        graph.expand_all(&g);
+        let b = g.symbol("B").unwrap();
+        let (t, and) = (g.symbol("true").unwrap(), g.symbol("and").unwrap());
+        graph.remove_rule(&mut g, b, &[t]).unwrap();
+        graph.remove_rule(&mut g, b, &[b, and, b]).unwrap();
+        graph.expand_all(&g);
+        let stale: Vec<Item> = graph
+            .live_nodes()
+            .flat_map(|node| node.kernel)
+            .filter(|item| !g.is_active(item.rule))
+            .collect();
+        assert!(stale.iter().any(|item| item.is_complete(&g)));
+        assert!(stale.iter().any(|item| !item.is_complete(&g)));
+        // Complete stale nodes that no edit invalidated keep their old
+        // expansion; recomputing any kernel must agree with the oracle.
+        let mut scratch = ExpandScratch::default();
+        for node in graph.live_nodes() {
+            let expected = oracle_expansion(&g, &node.kernel);
+            assert_eq!(
+                flat_expansion(&g, &node.kernel, &mut scratch),
+                expected,
+                "state {}",
+                node.id
+            );
+        }
+    }
+
+    #[test]
+    fn stage_counters_count_lookups_and_time_only_the_lazy_path() {
+        let g = fixtures::wide_synthetic(100);
+        let warmed = ItemSetGraph::new(&g);
+        warmed.expand_all(&g);
+        let warm = warmed.stats();
+        assert!(warm.kernel_hits > 0);
+        assert_eq!((warm.expand_compute_us, warm.expand_commit_us), (0, 0));
+        // Expanding lazily in id order is the serial warm's order.
+        let lazy = ItemSetGraph::new(&g);
+        let mut id = 0;
+        while lazy.try_node(StateId::from_index(id)).is_ok() {
+            lazy.ensure_expanded(&g, StateId::from_index(id));
+            id += 1;
+        }
+        let lazy = lazy.stats();
+        assert_eq!(
+            (lazy.kernel_lookups, lazy.kernel_hits, lazy.nodes_created),
+            (warm.kernel_lookups, warm.kernel_hits, warm.nodes_created)
+        );
+        assert!(lazy.expand_compute_us + lazy.expand_commit_us > 0);
+    }
+
+    // ------------------------------------------------------------------
+    // The fingerprint-keyed kernel index
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn kernel_index_confirms_candidates_of_colliding_fingerprints() {
+        // State `k` stands for kernel `k`; three distinct kernels share
+        // one fingerprint.
+        const FP: u64 = 7;
+        let id = StateId::from_index;
+        let kernel = |k: usize| move |candidate: StateId| candidate == id(k);
+        let mut index = KernelIndex::new();
+        for k in 0..3 {
+            index.insert(FP, id(k));
+        }
+        for k in 0..3 {
+            assert_eq!(index.get(FP, kernel(k)), Some(id(k)));
+            assert_eq!(index.get(FP + KERNEL_SHARDS as u64, kernel(k)), None);
+        }
+        assert_eq!(index.get(FP, kernel(3)), None);
+
+        // Removing something that is not there copies nothing.
+        let fork = index.clone();
+        let shard = KernelIndex::shard_of(FP);
+        index.remove_if(FP, id(9));
+        index.remove_if(FP + 1, id(1));
+        assert!(Arc::ptr_eq(&index.shards[shard], &fork.shards[shard]));
+        assert_eq!(index.get(FP, kernel(1)), Some(id(1)));
+
+        // Removing the first candidate promotes another; removing the
+        // others empties the key. The fork keeps its copy.
+        index.remove_if(FP, id(0));
+        assert_eq!(index.get(FP, kernel(0)), None);
+        assert_eq!(index.get(FP, kernel(2)), Some(id(2)));
+        index.remove_if(FP, id(2));
+        assert_eq!(index.get(FP, kernel(1)), Some(id(1)));
+        index.remove_if(FP, id(1));
+        assert!(index.shards[shard].first.is_empty() && index.shards[shard].more.is_empty());
+        for k in 0..3 {
+            assert_eq!(fork.get(FP, kernel(k)), Some(id(k)));
+        }
+    }
+
+    #[test]
+    fn start_kernel_rekey_takes_the_entry_of_an_equal_kernel() {
+        // Another live node already has the kernel the start state gets
+        // from `START ::= B B`; the start state takes the index entry over
+        // and the other node stays alive, unindexed.
+        let mut g = fixtures::booleans();
+        let mut graph = ItemSetGraph::new(&g);
+        graph.expand_all(&g);
+        let (start_sym, b) = (g.start_symbol(), g.symbol("B").unwrap());
+        let new_rule = RuleId::from_index(g.num_rule_slots());
+        let mut rekeyed: Vec<Item> = graph.node(graph.start_state()).kernel.into_iter().collect();
+        rekeyed.push(Item::start(new_rule));
+        rekeyed.sort();
+        let fp = fingerprint(&rekeyed);
+        let lookup = |graph: &ItemSetGraph| {
+            let inner = graph.inner.lock().unwrap();
+            inner
+                .kernel_index
+                .get(fp, |id| graph.kernel_is(id, &rekeyed))
+        };
+        let other = {
+            let mut inner = graph.inner.lock().unwrap();
+            let other = graph.intern_kernel_locked(&mut inner, &rekeyed, fp, None);
+            graph.flush_pending_locked(&mut inner, 1);
+            other
+        };
+        assert_eq!(lookup(&graph), Some(other));
+
+        assert_eq!(graph.add_rule(&mut g, start_sym, vec![b, b]), new_rule);
+        assert_eq!(lookup(&graph), Some(graph.start_state()));
+        assert!(graph.node(other).alive);
+        // The other node's entry is gone: removing it leaves the start's.
+        graph
+            .inner
+            .lock()
+            .unwrap()
+            .kernel_index
+            .remove_if(fp, other);
+        assert_eq!(lookup(&graph), Some(graph.start_state()));
     }
 }

@@ -151,6 +151,19 @@ pub struct GenStats {
     pub re_expansions: usize,
     /// Closures computed (one per (re-)expansion).
     pub closures: usize,
+    /// Kernel-index probes: one per successor kernel of every
+    /// (re-)expansion, plus the start kernel.
+    pub kernel_lookups: usize,
+    /// Kernel-index probes that found an existing state (the rest created
+    /// one, so `kernel_lookups - kernel_hits == nodes_created`).
+    pub kernel_hits: usize,
+    /// Time the lazy path (steady-state misses, not bulk warms) spent in
+    /// the read-only half of `EXPAND`: closure, successor partition,
+    /// reductions.
+    pub expand_compute_us: usize,
+    /// Time the lazy path spent in the write half of `EXPAND`: kernel
+    /// interning, refcount bumps and the node write.
+    pub expand_commit_us: usize,
     /// Calls to `ACTION` (through the lazy tables).
     pub action_calls: usize,
     /// Calls to `GOTO` (through the lazy tables).
@@ -329,6 +342,10 @@ impl GenStats {
             expansions,
             re_expansions,
             closures,
+            kernel_lookups,
+            kernel_hits,
+            expand_compute_us,
+            expand_commit_us,
             action_calls,
             goto_calls,
             modifications,
@@ -376,6 +393,10 @@ impl GenStats {
         self.expansions += expansions;
         self.re_expansions += re_expansions;
         self.closures += closures;
+        self.kernel_lookups += kernel_lookups;
+        self.kernel_hits += kernel_hits;
+        self.expand_compute_us += expand_compute_us;
+        self.expand_commit_us += expand_commit_us;
         self.action_calls += action_calls;
         self.goto_calls += goto_calls;
         self.modifications += modifications;

@@ -3,6 +3,7 @@
 
 use crate::bnf::parse_bnf;
 use crate::grammar::Grammar;
+use crate::symbol::SymbolId;
 
 /// The grammar of the Booleans from Fig. 4.1(a):
 ///
@@ -175,6 +176,60 @@ pub fn sized_grammar(n: usize) -> Grammar {
     g
 }
 
+/// A deterministic 64-bit LCG (Knuth's MMIX constants), so that
+/// [`wide_synthetic`] is bit-identical across runs and hosts.
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        self.next() as usize % n
+    }
+}
+
+/// Builds a wide grammar with exactly `productions` random alternatives
+/// spread round-robin over 8 non-terminals `W0..W7`, plus the dedicated
+/// sentence rule `W0 ::= wstart`. Each right-hand side is 2–4 random
+/// terminals (out of 40), with a 1-in-4 chance of a trailing non-terminal
+/// (right recursion only — a non-terminal *inside* a right-hand side would
+/// give every context its own mega-kernel and blow the state count
+/// combinatorially). States whose dot stops before a trailing non-terminal
+/// close over *hundreds* of alternatives, while successor kernels are
+/// shared across contexts. Symbol and rule counts stay bounded (49 symbols
+/// total), which bounds the per-state `ACTION` row footprint no matter how
+/// large `productions` grows.
+pub fn wide_synthetic(productions: usize) -> Grammar {
+    let mut g = Grammar::new();
+    let nts: Vec<SymbolId> = (0..8).map(|i| g.nonterminal(&format!("W{i}"))).collect();
+    let terminals: Vec<SymbolId> = (0..40).map(|i| g.terminal(&format!("t{i:02}"))).collect();
+    // The dedicated sentence rule uses a terminal no random rule can pick,
+    // so `[wstart]` is in the language regardless of the random draw.
+    let wstart = g.terminal("wstart");
+    g.add_rule(nts[0], vec![wstart]);
+    let mut rng = Lcg(0x9E3779B97F4A7C15);
+    for p in 0..productions {
+        let lhs = nts[p % nts.len()];
+        let len = 2 + rng.below(3);
+        let mut rhs: Vec<SymbolId> = (0..len)
+            .map(|_| terminals[rng.below(terminals.len())])
+            .collect();
+        if rng.below(4) == 0 {
+            rhs.push(nts[rng.below(nts.len())]);
+        }
+        g.add_rule(lhs, rhs);
+    }
+    g.add_start_rule(nts[0]);
+    g.validate().expect("wide synthetic grammar is well-formed");
+    g
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,6 +248,7 @@ mod tests {
             ("right_recursive_list", right_recursive_list()),
             ("booleans_with_unknown", booleans_with_unknown()),
             ("sized_grammar(10)", sized_grammar(10)),
+            ("wide_synthetic(50)", wide_synthetic(50)),
         ] {
             assert!(g.validate().is_ok(), "fixture {name} should validate");
         }
