@@ -55,36 +55,30 @@
 //! The write half (`commit_expansion_locked`) interns each successor run
 //! in the kernel index, which maps fingerprints to candidate states and
 //! confirms a candidate against its stored kernel; only a genuinely new
-//! state builds a `BTreeSet` kernel. The commit decides state ids only: it
-//! buffers the store writes — new nodes, the completed node, reference
-//! count increments — in [`PendingWrites`], which are applied chunk by
-//! chunk before anything reads them (before every `DECR-REFCOUNT`, and at
-//! the end of each writer operation).
+//! state builds a `BTreeSet` kernel. It then bumps the successors'
+//! reference counts and writes the completed node.
 //!
 //! ## Bulk expansion (parallel warm)
 //!
 //! Steady-state misses and `MODIFY` keep the serialized writer above —
 //! one state at a time, latency-bound, with the reused scratch of the
 //! writer. Bulk cold-start expansion ([`ItemSetGraph::expand_all_parallel`])
-//! runs in rounds: the pending frontier is collected in id order, then
-//! 1. N workers compute the read-only half of every frontier expansion
-//!    and look its successor runs up in the kernel index, reading kernels
-//!    straight out of the store — nothing writes the graph in this phase;
-//! 2. the writer commits the results serially in frontier order, taking
-//!    each successor that phase 1 found as is (unless refcount GC has
-//!    collected a node since), so it only interns the kernels that are new
-//!    in this round;
-//! 3. the round's buffered store writes are applied by the workers, each
-//!    owning a disjoint slice of storage chunks.
-//!
-//! Because closure depends only on the grammar and the kernel, and
-//! kernels are interned in exactly the order the serial loop would have
-//! used, the resulting graph — state numbering, kernel index, rows — is
-//! **bit-identical** to a serial warm (property-tested). Row publication
-//! parallelises like phase 3 and is published in one snapshot swap. The
-//! whole warm holds the writer mutex, so it serializes with `MODIFY` like
-//! any other writer; frontiers smaller than `PARALLEL_EXPAND_MIN_BATCH`
-//! expand inline, so chain-shaped grammars never pay a spawn.
+//! runs *pipelined rounds*: the pending frontier is collected in id order
+//! and its kernels are copied out of the store into one flat vector, the
+//! read-only halves fan out over N worker threads (pure functions of
+//! grammar + kernel, one [`ExpandScratch`] per worker, no graph locks),
+//! and the committer consumes results in frontier order *as they arrive*
+//! (`RoundQueue`), so interning overlaps with the remaining closures
+//! instead of waiting for the whole round. Because closure depends only
+//! on the grammar and the kernel, and kernels are interned in exactly the
+//! order the serial loop would have used, the resulting graph — state
+//! numbering, kernel index, rows — is **bit-identical** to a serial warm
+//! (property-tested). Row publication parallelises the same way: chunks
+//! are unshared serially, then disjoint chunk slices are filled
+//! concurrently and published in one snapshot swap. The whole warm holds
+//! the writer mutex, so it serializes with `MODIFY` like any other writer;
+//! frontiers smaller than `PARALLEL_EXPAND_MIN_BATCH` expand inline, so
+//! chain-shaped grammars never pay a spawn.
 //!
 //! ## Forking (epoch publication)
 //!
@@ -108,12 +102,13 @@
 //! non-terminal, and the probe becomes the dominant, O(graph) term of an
 //! edit.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
 use std::time::{Duration, Instant};
 
+use ipg_glr::fxhash::FxHashMap;
 use ipg_grammar::{Grammar, GrammarError, RuleId, SymbolId};
 use ipg_lr::itemset::{start_kernel, ItemSet};
 use ipg_lr::{Item, StateId};
@@ -219,8 +214,6 @@ struct ComputedExpansion {
     successors: Vec<Successor>,
     reductions: Vec<RuleId>,
     accepting: bool,
-    /// `GenStats::nodes_collected` when the successors were resolved.
-    collected_at_resolve: usize,
 }
 
 /// One successor kernel of a [`ComputedExpansion`]: the transition symbol
@@ -230,9 +223,6 @@ struct Successor {
     symbol: SymbolId,
     end: usize,
     fingerprint: u64,
-    /// The state that had this kernel when the parallel warm's read-only
-    /// phase looked it up (see [`ComputedExpansion::resolve`]).
-    existing: Option<StateId>,
 }
 
 impl ComputedExpansion {
@@ -244,38 +234,6 @@ impl ComputedExpansion {
             start = succ.end;
             (succ, run)
         })
-    }
-
-    /// Looks every successor kernel up in `index`, confirming candidates
-    /// with `is_kernel`, and records the states found. Run by the parallel
-    /// warm's workers while the graph is read-only, so the serial commit
-    /// skips the lookup — and the kernel comparison, the costly part —
-    /// for every successor that already existed. Unless `keep_runs`, the
-    /// runs of the successors found are dropped, so a round's results stay
-    /// small until they are committed.
-    fn resolve(
-        &mut self,
-        index: &KernelIndex,
-        collected: usize,
-        keep_runs: bool,
-        is_kernel: impl Fn(StateId, &[Item]) -> bool,
-    ) {
-        self.collected_at_resolve = collected;
-        let (mut read, mut write) = (0, 0);
-        for succ in &mut self.successors {
-            let run = read..succ.end;
-            read = succ.end;
-            succ.existing = index.get(succ.fingerprint, |id| {
-                is_kernel(id, &self.items[run.clone()])
-            });
-            if keep_runs || succ.existing.is_none() {
-                self.items.copy_within(run.clone(), write);
-                write += run.len();
-            }
-            succ.end = write;
-        }
-        self.items.truncate(write);
-        self.items.shrink_to_fit();
     }
 }
 
@@ -398,7 +356,6 @@ fn compute_expansion_of(
             symbol,
             end,
             fingerprint: 0,
-            existing: None,
         });
     }
     out.items.resize(end, Item::start(RuleId::from_index(0)));
@@ -435,177 +392,53 @@ fn fingerprint<'a>(kernel: impl IntoIterator<Item = &'a Item>) -> u64 {
     hash
 }
 
-/// The store writes of the commit half of `EXPAND`, buffered so that the
-/// serial part of a commit only decides state ids: the nodes it creates,
-/// the expansions it completes and the reference counts it raises.
-/// `flush_pending_locked` applies them chunk by chunk — in parallel for a
-/// parallel warm round — before anything reads what they change: before
-/// every `DECR-REFCOUNT` and at the end of each writer operation, so
-/// between writer operations the buffer is empty and the store complete.
-#[derive(Debug, Default)]
-struct PendingWrites {
-    /// Id of the first pending new node; the pending new nodes are
-    /// `first_new..GraphInner::len`.
-    first_new: usize,
-    /// The kernels of the pending new nodes, run after run.
-    kernel_items: Vec<Item>,
-    kernel_ends: Vec<usize>,
-    /// The transitions of the pending expansions, run after run.
-    transitions: Vec<(SymbolId, StateId)>,
-    /// The reductions of the pending expansions, run after run.
-    reductions: Vec<RuleId>,
-    expansions: Vec<PendingExpansion>,
-    /// One entry per reference to add.
-    increments: Vec<StateId>,
+/// Hand-off queue of one parallel-warm round: workers deposit the computed
+/// expansion of frontier slot `i` as soon as it is ready, and the committer
+/// consumes the slots strictly in frontier order, blocking only when the
+/// next slot in line has not been produced yet. This pipelines the serial
+/// commit (kernel interning, refcount bumps, node writes) with the
+/// concurrent closure computation — round wall-clock is
+/// `max(compute / workers, commit)` instead of their sum.
+struct RoundQueue {
+    cursor: AtomicUsize,
+    slots: Mutex<Vec<Option<ComputedExpansion>>>,
+    ready: Condvar,
 }
 
-/// One completed expansion in [`PendingWrites`].
-#[derive(Debug)]
-struct PendingExpansion {
-    id: StateId,
-    transitions_end: usize,
-    reductions_end: usize,
-    accepting: bool,
-}
-
-impl PendingWrites {
-    fn is_empty(&self) -> bool {
-        self.kernel_ends.is_empty() && self.expansions.is_empty() && self.increments.is_empty()
-    }
-
-    fn clear(&mut self) {
-        self.kernel_items.clear();
-        self.kernel_ends.clear();
-        self.transitions.clear();
-        self.reductions.clear();
-        self.expansions.clear();
-        self.increments.clear();
-    }
-
-    /// Buffers the creation of node `id` (the next id) with kernel `run`.
-    fn create(&mut self, id: StateId, run: &[Item]) {
-        if self.kernel_ends.is_empty() {
-            self.first_new = id.index();
+impl RoundQueue {
+    fn new(len: usize) -> Self {
+        let mut slots = Vec::new();
+        slots.resize_with(len, || None);
+        RoundQueue {
+            cursor: AtomicUsize::new(0),
+            slots: Mutex::new(slots),
+            ready: Condvar::new(),
         }
-        self.kernel_items.extend_from_slice(run);
-        self.kernel_ends.push(self.kernel_items.len());
     }
 
-    /// The kernel of `id` if it is a pending new node.
-    fn new_kernel(&self, id: StateId) -> Option<&[Item]> {
-        let k = id.index().checked_sub(self.first_new)?;
-        let end = *self.kernel_ends.get(k)?;
-        let start = if k == 0 { 0 } else { self.kernel_ends[k - 1] };
-        Some(&self.kernel_items[start..end])
+    /// Claims the next unclaimed frontier index, or `None` when every
+    /// index of the round has been handed out.
+    fn claim(&self, len: usize) -> Option<usize> {
+        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (i < len).then_some(i)
     }
 
-    /// Marks every chunk the pending writes land in.
-    fn touched_chunks(&self, num_chunks: usize) -> Vec<bool> {
-        let mut touched = vec![false; num_chunks];
-        let created = (0..self.kernel_ends.len()).map(|k| StateId::from_index(self.first_new + k));
-        let expanded = self.expansions.iter().map(|e| e.id);
-        for id in created
-            .chain(expanded)
-            .chain(self.increments.iter().copied())
-        {
-            touched[chunk_of(id)] = true;
-        }
-        touched
+    fn deposit(&self, i: usize, computed: ComputedExpansion) {
+        let mut slots = self.slots.lock().unwrap();
+        slots[i] = Some(computed);
+        self.ready.notify_all();
     }
 
-    /// Applies the writes that land in chunks `base..base + chunks.len()`
-    /// (those present in `chunks`): new nodes first, in id order, then the
-    /// completed expansions, then the increments.
-    fn apply(&self, base: usize, chunks: &mut [Option<&mut NodeChunk>]) {
-        fn chunk_for<'a>(
-            chunks: &'a mut [Option<&mut NodeChunk>],
-            base: usize,
-            id: StateId,
-        ) -> Option<&'a mut NodeChunk> {
-            chunks
-                .get_mut(chunk_of(id).wrapping_sub(base))?
-                .as_deref_mut()
-        }
-        let mut start = 0;
-        for (k, &end) in self.kernel_ends.iter().enumerate() {
-            let id = StateId::from_index(self.first_new + k);
-            if let Some(chunk) = chunk_for(chunks, base, id) {
-                debug_assert_eq!(chunk.nodes.len(), slot_of(id));
-                let node =
-                    ItemSetNode::new(id, self.kernel_items[start..end].iter().copied().collect());
-                chunk.bytes += node_heap_bytes(&node);
-                chunk.nodes.push(Arc::new(node));
+    /// Blocks until slot `i` has been deposited, then takes it.
+    fn take(&self, i: usize) -> ComputedExpansion {
+        let mut slots = self.slots.lock().unwrap();
+        loop {
+            if let Some(computed) = slots[i].take() {
+                return computed;
             }
-            start = end;
-        }
-        let (mut t_start, mut r_start) = (0, 0);
-        for e in &self.expansions {
-            let transitions = &self.transitions[t_start..e.transitions_end];
-            let reductions = &self.reductions[r_start..e.reductions_end];
-            (t_start, r_start) = (e.transitions_end, e.reductions_end);
-            let Some(chunk) = chunk_for(chunks, base, e.id) else {
-                continue;
-            };
-            // Keep the chunk's MODIFY summary a superset of its live
-            // complete nodes' transition symbols.
-            chunk.merge_summary(transitions.iter().map(|&(symbol, _)| symbol));
-            chunk.update(slot_of(e.id), |node| {
-                node.transitions = transitions.iter().copied().collect();
-                node.reductions = reductions.to_vec();
-                node.accepting = e.accepting;
-                node.kind = ItemSetKind::Complete;
-                // The dense row shadows the (old) transitions; rebuild on
-                // demand. Readers observe the kind change and the dropped
-                // row atomically: both happen under the store's write lock.
-                node.row = None;
-            });
-        }
-        for &id in &self.increments {
-            if let Some(chunk) = chunk_for(chunks, base, id) {
-                chunk.update(slot_of(id), |n| n.refcount += 1);
-            }
+            slots = self.ready.wait(slots).unwrap();
         }
     }
-}
-
-/// Runs `work(state, i)` for every `i` in `0..len` on `threads` scoped
-/// workers that claim indices dynamically, each with its own `init()`
-/// state, and returns the results in index order.
-fn fan_out<S, T: Send>(
-    len: usize,
-    threads: usize,
-    init: impl Fn() -> S + Sync,
-    work: impl Fn(&mut S, usize) -> T + Sync,
-) -> Vec<T> {
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.min(len))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    let mut done = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= len {
-                            break;
-                        }
-                        done.push((i, work(&mut state, i)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, value) in handle.join().expect("fan-out worker panicked") {
-                slots[i] = Some(value);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index was claimed"))
-        .collect()
 }
 
 /// Errors reported by the public node accessors of the shared graph.
@@ -981,7 +814,7 @@ struct KernelIndex {
 
 #[derive(Clone, Debug, Default)]
 struct KernelShard {
-    first: HashMap<u64, StateId>,
+    first: FxHashMap<u64, StateId>,
     more: Vec<(u64, StateId)>,
 }
 
@@ -1085,8 +918,6 @@ struct GraphInner {
     scratch_expand: ExpandScratch,
     /// The serial path's reused expansion result.
     scratch_computed: ComputedExpansion,
-    /// Store writes not yet applied; empty between writer operations.
-    pending: PendingWrites,
     /// Time the lazy path spent in the read-only half of `EXPAND`
     /// (reported as `GenStats::expand_compute_us`).
     expand_compute: Duration,
@@ -1108,7 +939,6 @@ impl GraphInner {
             scratch_invalidated: Vec::new(),
             scratch_expand: ExpandScratch::default(),
             scratch_computed: ComputedExpansion::default(),
-            pending: PendingWrites::default(),
             expand_compute: Duration::ZERO,
             expand_commit: Duration::ZERO,
         }
@@ -1130,7 +960,6 @@ impl Clone for GraphInner {
             scratch_invalidated: Vec::new(),
             scratch_expand: ExpandScratch::default(),
             scratch_computed: ComputedExpansion::default(),
-            pending: PendingWrites::default(),
             expand_compute: self.expand_compute,
             expand_commit: self.expand_commit,
         }
@@ -1219,8 +1048,7 @@ impl ItemSetGraph {
         {
             let mut inner = graph.inner.lock().unwrap();
             let kernel: Vec<Item> = start_kernel(grammar).into_iter().collect();
-            let start = graph.intern_kernel_locked(&mut inner, &kernel, fingerprint(&kernel), None);
-            graph.flush_pending_locked(&mut inner, 1);
+            let start = graph.intern_kernel_locked(&mut inner, &kernel, fingerprint(&kernel));
             debug_assert_eq!(start, StateId(0));
         }
         graph
@@ -1357,75 +1185,6 @@ impl ItemSetGraph {
         size
     }
 
-    /// Runs `work` over the storage chunks `wanted` selects, on `threads`
-    /// scoped workers. The selected chunks are first made unique (copy on
-    /// write, serially); then each worker gets one of `threads` disjoint,
-    /// contiguous, equally long slices of the chunk vector, in which entry
-    /// `k` is chunk `base + k` if it was selected and `None` otherwise, and
-    /// runs `work(base, slice)` on it. Returns the workers' results.
-    fn for_chunk_slices<R: Send>(
-        &self,
-        threads: usize,
-        wanted: impl Fn(usize, &NodeChunk) -> bool,
-        work: impl Fn(usize, &mut [Option<&mut NodeChunk>]) -> R + Sync,
-    ) -> Vec<R> {
-        let mut store = self.store.write().unwrap();
-        let selected: Vec<bool> = store
-            .iter()
-            .enumerate()
-            .map(|(c, chunk)| wanted(c, chunk))
-            .collect();
-        for c in (0..store.len()).filter(|&c| selected[c]) {
-            let _ = self.chunk_mut(&mut store, c);
-        }
-        let mut chunks: Vec<Option<&mut NodeChunk>> = store
-            .iter_mut()
-            .zip(&selected)
-            .map(|(arc, &selected)| {
-                selected.then(|| Arc::get_mut(arc).expect("chunk was unshared above"))
-            })
-            .collect();
-        if threads <= 1 || selected.iter().filter(|&&s| s).count() < 2 {
-            return vec![work(0, &mut chunks)];
-        }
-        let per = chunks.len().div_ceil(threads);
-        let work = &work;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .chunks_mut(per)
-                .enumerate()
-                .map(|(k, slice)| scope.spawn(move || work(k * per, slice)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("chunk worker panicked"))
-                .collect()
-        })
-    }
-
-    /// Applies the buffered [`PendingWrites`] to the store, over `threads`
-    /// workers by storage chunk.
-    fn flush_pending_locked(&self, inner: &mut GraphInner, threads: usize) {
-        let pending = std::mem::take(&mut inner.pending);
-        if !pending.is_empty() {
-            let num_chunks = chunk_of(StateId::from_index(inner.len - 1)) + 1;
-            {
-                let mut store = self.store.write().unwrap();
-                while store.len() < num_chunks {
-                    store.push(Arc::new(NodeChunk::default()));
-                }
-            }
-            let touched = pending.touched_chunks(num_chunks);
-            self.for_chunk_slices(
-                threads,
-                |c, _| touched[c],
-                |base, chunks| pending.apply(base, chunks),
-            );
-        }
-        inner.pending = pending;
-        inner.pending.clear();
-    }
-
     /// An exclusive borrow of chunk `c`, copying it on write when it is
     /// still shared with another fork. The copy clones the chunk's node
     /// pointers and symbol summary, not the nodes; node writes then go
@@ -1467,40 +1226,26 @@ impl ItemSetGraph {
     }
 
     /// Returns the live state whose kernel is `run` (sorted items with
-    /// fingerprint `fp`), creating it as an initial node if there is none
-    /// (buffered in [`PendingWrites`]). Only a new state builds a
-    /// `BTreeSet` kernel.
-    ///
-    /// `existing` is a live state that a read-only lookup found for the
-    /// kernel earlier in the same writer critical section (the parallel
-    /// warm resolves successors before committing them). It is still the
-    /// answer: nodes leave the index only when they die, and no other node
-    /// can have been indexed with its kernel meanwhile.
-    fn intern_kernel_locked(
-        &self,
-        inner: &mut GraphInner,
-        run: &[Item],
-        fp: u64,
-        existing: Option<StateId>,
-    ) -> StateId {
+    /// fingerprint `fp`), creating it as an initial node if there is none.
+    /// Only a new state builds a `BTreeSet` kernel.
+    fn intern_kernel_locked(&self, inner: &mut GraphInner, run: &[Item], fp: u64) -> StateId {
         inner.stats.kernel_lookups += 1;
-        let pending = &inner.pending;
-        let found = existing.or_else(|| {
-            inner
-                .kernel_index
-                .get(fp, |id| match pending.new_kernel(id) {
-                    Some(kernel) => kernel == run,
-                    None => self.kernel_is(id, run),
-                })
-        });
-        if let Some(id) = found {
+        if let Some(id) = inner.kernel_index.get(fp, |id| self.kernel_is(id, run)) {
             inner.stats.kernel_hits += 1;
             return id;
         }
         let id = StateId::from_index(inner.len);
         inner.len += 1;
         inner.kernel_index.insert(fp, id);
-        inner.pending.create(id, run);
+        let mut store = self.store.write().unwrap();
+        if chunk_of(id) == store.len() {
+            store.push(Arc::new(NodeChunk::default()));
+        }
+        let chunk = self.chunk_mut(&mut store, chunk_of(id));
+        debug_assert_eq!(chunk.nodes.len(), slot_of(id));
+        let node = ItemSetNode::new(id, run.iter().copied().collect());
+        chunk.bytes += node_heap_bytes(&node);
+        chunk.nodes.push(Arc::new(node));
         inner.stats.nodes_created += 1;
         id
     }
@@ -1607,7 +1352,6 @@ impl ItemSetGraph {
         let computed = self.compute_expansion_locked(inner, grammar, id);
         let computed_at = Instant::now();
         self.commit_by_kind_locked(inner, id, kind, &computed);
-        self.flush_pending_locked(inner, 1);
         inner.expand_commit += computed_at.elapsed();
         inner.expand_compute += computed_at - started;
         inner.scratch_computed = computed;
@@ -1648,7 +1392,6 @@ impl ItemSetGraph {
         });
         self.commit_expansion_locked(inner, id, computed);
         if self.refcounting() {
-            self.flush_pending_locked(inner, 1);
             for &target in &old_targets {
                 self.decr_refcount_locked(inner, target);
             }
@@ -1677,7 +1420,8 @@ impl ItemSetGraph {
 
     /// The write half of `EXPAND`: intern the successor kernels (in symbol
     /// order, so state numbering is deterministic and identical to the
-    /// fully serial expansion) and buffer the node's completion.
+    /// fully serial expansion), bump their reference counts and publish the
+    /// node as complete.
     fn commit_expansion_locked(
         &self,
         inner: &mut GraphInner,
@@ -1685,27 +1429,34 @@ impl ItemSetGraph {
         computed: &ComputedExpansion,
     ) {
         inner.stats.closures += 1;
-        for (succ, run) in computed.successor_runs() {
-            // A state the read-only phase found is still the answer unless
-            // refcount GC has collected some node since.
-            let existing = succ.existing.filter(|&found| {
-                inner.stats.nodes_collected == computed.collected_at_resolve
-                    || self.with_node(found, |n| n.alive)
-            });
-            debug_assert!(existing.is_some() || !run.is_empty() || succ.existing.is_none());
-            let target = self.intern_kernel_locked(inner, run, succ.fingerprint, existing);
-            inner.pending.transitions.push((succ.symbol, target));
-            if self.refcounting() {
-                inner.pending.increments.push(target);
+        let transitions: BTreeMap<SymbolId, StateId> = computed
+            .successor_runs()
+            .map(|(succ, run)| {
+                let target = self.intern_kernel_locked(inner, run, succ.fingerprint);
+                (succ.symbol, target)
+            })
+            .collect();
+
+        let mut store = self.store.write().unwrap();
+        if self.refcounting() {
+            for &target in transitions.values() {
+                self.chunk_mut(&mut store, chunk_of(target))
+                    .update(slot_of(target), |n| n.refcount += 1);
             }
         }
-        let pending = &mut inner.pending;
-        pending.reductions.extend_from_slice(&computed.reductions);
-        pending.expansions.push(PendingExpansion {
-            id,
-            transitions_end: pending.transitions.len(),
-            reductions_end: pending.reductions.len(),
-            accepting: computed.accepting,
+        let chunk = self.chunk_mut(&mut store, chunk_of(id));
+        // Keep the chunk's MODIFY summary a superset of its live complete
+        // nodes' transition symbols.
+        chunk.merge_summary(transitions.keys().copied());
+        chunk.update(slot_of(id), |node| {
+            node.transitions = transitions;
+            node.reductions.clone_from(&computed.reductions);
+            node.accepting = computed.accepting;
+            node.kind = ItemSetKind::Complete;
+            // The dense row shadows the (old) transitions; rebuild on
+            // demand. Readers observe the kind change and the dropped row
+            // atomically: both happen under the store's write lock.
+            node.row = None;
         });
     }
 
@@ -1845,7 +1596,36 @@ impl ItemSetGraph {
         let chunks: Vec<Arc<SnapChunk>> = if threads <= 1 || store.len() < 2 {
             store.iter().map(|chunk| snap_chunk_of(chunk)).collect()
         } else {
-            fan_out(store.len(), threads, || (), |_, c| snap_chunk_of(&store[c]))
+            let cursor = AtomicUsize::new(0);
+            let mut slots: Vec<Option<Arc<SnapChunk>>> = vec![None; store.len()];
+            std::thread::scope(|scope| {
+                let cursor = &cursor;
+                let store = &store;
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        scope.spawn(move || {
+                            let mut out = Vec::new();
+                            loop {
+                                let c = cursor.fetch_add(1, Ordering::Relaxed);
+                                if c >= store.len() {
+                                    break;
+                                }
+                                out.push((c, snap_chunk_of(&store[c])));
+                            }
+                            out
+                        })
+                    })
+                    .collect();
+                for handle in handles {
+                    for (c, chunk) in handle.join().unwrap() {
+                        slots[c] = Some(chunk);
+                    }
+                }
+            });
+            slots
+                .into_iter()
+                .map(|slot| slot.expect("every chunk index was assembled"))
+                .collect()
         };
         drop(store);
         let bytes = chunks.iter().map(|chunk| snap_chunk_bytes(chunk)).sum();
@@ -2171,17 +1951,21 @@ impl ItemSetGraph {
     /// [`ItemSetGraph::expand_all`] with the frontier fanned out over
     /// `threads` worker threads.
     ///
-    /// The expansion runs in rounds over the pending frontier, collected in
-    /// id order (exactly the serial scan). In each round the workers
-    /// compute the read-only half of every expansion and resolve its
-    /// successors against the kernel index while the graph is read-only;
-    /// the writer then commits the results in frontier order, interning
-    /// only the kernels that are new in this round; and the workers apply
-    /// the round's buffered store writes, one slice of storage chunks
-    /// each. Because interning order is identical to the serial expansion,
-    /// the resulting graph is **bit-identical** to `expand_all(grammar)`:
-    /// same state ids, same kernel index, same rows (the parallel-warm
-    /// equivalence proptest holds this to 256 randomized grammars).
+    /// The expansion runs in **pipelined rounds**: each round collects the
+    /// pending frontier in id order (exactly the serial scan) and copies
+    /// its kernels out of the store into one flat vector, workers compute
+    /// the read-only half of every expansion concurrently (closure,
+    /// successor partition, reductions, fingerprints — the bulk of the
+    /// work, touching no graph locks, each worker on its own
+    /// [`ExpandScratch`]), and the committer consumes the results *in
+    /// frontier order as they arrive*, interning successor kernels in
+    /// symbol order while the workers keep computing. Because interning
+    /// order is identical to the serial expansion, the resulting graph is
+    /// **bit-identical** to `expand_all(grammar)`: same state ids, same
+    /// kernel index, same rows (the parallel-warm equivalence proptest
+    /// holds this to 256 randomized grammars). Pipelining keeps the serial
+    /// commit off the critical path: round wall-clock is
+    /// `max(compute / threads, commit)` rather than their sum.
     ///
     /// The whole warm holds the writer mutex, so it serializes with
     /// steady-state misses and `MODIFY` like any other write — the
@@ -2194,6 +1978,9 @@ impl ItemSetGraph {
         let mut inner = self.inner.lock().unwrap();
         inner.stats.warm_threads_used = inner.stats.warm_threads_used.max(threads);
         let mut pending = std::mem::take(&mut inner.scratch_pending);
+        // The frontier's kernels, run after run, and the end of each run.
+        let mut kernel_items: Vec<Item> = Vec::new();
+        let mut kernel_ends: Vec<usize> = Vec::new();
         // A round expands its whole frontier (or finds it collected), so
         // after the first scan only the states it created can be pending.
         let mut scanned = 0;
@@ -2222,47 +2009,49 @@ impl ItemSetGraph {
                         inner.scratch_computed = computed;
                     }
                 }
-                self.flush_pending_locked(&mut inner, 1);
             } else {
-                // Read-only phase: the workers compute every expansion of
-                // the round and resolve its successors against the index,
-                // reading kernels straight out of the store — nothing
-                // writes the graph until they are done.
-                let computed = {
+                // Pipelined round: copy the frontier's kernels out of the
+                // store up front so the workers run lock-free, then commit
+                // each result in frontier order as soon as it is deposited
+                // — interning overlaps with the remaining closures.
+                kernel_items.clear();
+                kernel_ends.clear();
+                {
                     let store = self.store.read().unwrap();
-                    let (index, collected) = (&inner.kernel_index, inner.stats.nodes_collected);
-                    let node = |id: StateId| &store[chunk_of(id)].nodes[slot_of(id)];
-                    // Only re-expansions collect nodes; without them every
-                    // successor found stays valid, and its run is not needed.
-                    let keep_runs = pending
-                        .iter()
-                        .any(|&id| node(id).kind == ItemSetKind::Dirty);
-                    fan_out(
-                        pending.len(),
-                        threads,
-                        ExpandScratch::default,
-                        |scratch, i| {
-                            let mut computed = ComputedExpansion::default();
-                            let kernel = node(pending[i]).kernel.iter().copied();
-                            compute_expansion_of(grammar, kernel, scratch, &mut computed);
-                            computed.resolve(index, collected, keep_runs, |id, run| {
-                                kernel_matches(node(id), run)
-                            });
-                            computed
-                        },
-                    )
-                };
-                // Commit phase, serial and in frontier order.
-                for (&id, computed) in pending.iter().zip(&computed) {
-                    // Re-check under the still-held writer: a re-expansion
-                    // committed earlier in this round may have collected
-                    // the node (its precomputed result is then dropped).
-                    let (alive, kind) = self.with_node(id, |n| (n.alive, n.kind));
-                    if alive {
-                        self.commit_by_kind_locked(&mut inner, id, kind, computed);
+                    for &id in &pending {
+                        kernel_items.extend(&store[chunk_of(id)].nodes[slot_of(id)].kernel);
+                        kernel_ends.push(kernel_items.len());
                     }
                 }
-                self.flush_pending_locked(&mut inner, threads);
+                let kernel = |i: usize| {
+                    let start = if i == 0 { 0 } else { kernel_ends[i - 1] };
+                    kernel_items[start..kernel_ends[i]].iter().copied()
+                };
+                let round = RoundQueue::new(pending.len());
+                std::thread::scope(|scope| {
+                    for _ in 0..threads.min(pending.len()) {
+                        let (round, kernel, pending) = (&round, &kernel, &pending);
+                        scope.spawn(move || {
+                            let mut scratch = ExpandScratch::default();
+                            while let Some(i) = round.claim(pending.len()) {
+                                let mut out = ComputedExpansion::default();
+                                compute_expansion_of(grammar, kernel(i), &mut scratch, &mut out);
+                                round.deposit(i, out);
+                            }
+                        });
+                    }
+                    for (i, &id) in pending.iter().enumerate() {
+                        let computed = round.take(i);
+                        // Re-check under the still-held writer: a
+                        // re-expansion committed earlier in this round may
+                        // have collected the node (its precomputed result
+                        // is then simply dropped).
+                        let (alive, kind) = self.with_node(id, |n| (n.alive, n.kind));
+                        if alive {
+                            self.commit_by_kind_locked(&mut inner, id, kind, &computed);
+                        }
+                    }
+                });
             }
             inner.stats.warm_batches_published += 1;
         }
@@ -2287,20 +2076,58 @@ impl ItemSetGraph {
         let mut inner = self.inner.lock().unwrap();
         let num_symbols = grammar.symbols().len();
         let version = grammar.version();
-        let needs_rows = |_: usize, chunk: &NodeChunk| {
+        let needs_rows = |chunk: &NodeChunk| {
             chunk
                 .nodes
                 .iter()
                 .any(|n| n.alive && n.kind == ItemSetKind::Complete && n.row.is_none())
         };
-        let built = self.for_chunk_slices(threads, needs_rows, |_, chunks| {
-            chunks
+        {
+            let mut store = self.store.write().unwrap();
+            // Unshare every chunk that needs row writes (serial, O(#chunks)
+            // checks), then hand the now-unique chunks to workers disjointly.
+            for c in 0..store.len() {
+                if needs_rows(&store[c]) {
+                    let _ = self.chunk_mut(&mut store, c);
+                }
+            }
+            let mut chunk_refs: Vec<&mut NodeChunk> = store
                 .iter_mut()
-                .flatten()
-                .map(|chunk| build_rows_in_chunk(chunk, num_symbols, version))
-                .sum::<usize>()
-        });
-        inner.stats.rows_built += built.into_iter().sum::<usize>();
+                .filter(|arc| needs_rows(arc))
+                .map(|arc| Arc::get_mut(arc).expect("chunk was unshared above"))
+                .collect();
+            let built = if threads <= 1 || chunk_refs.len() < 2 {
+                let mut built = 0;
+                for chunk in &mut chunk_refs {
+                    built += build_rows_in_chunk(chunk, num_symbols, version);
+                }
+                built
+            } else {
+                let mut built = 0;
+                std::thread::scope(|scope| {
+                    let per = chunk_refs.len().div_ceil(threads);
+                    let mut handles = Vec::new();
+                    let mut rest: &mut [&mut NodeChunk] = &mut chunk_refs;
+                    while !rest.is_empty() {
+                        let take = per.min(rest.len());
+                        let (head, tail) = std::mem::take(&mut rest).split_at_mut(take);
+                        rest = tail;
+                        handles.push(scope.spawn(move || {
+                            let mut built = 0;
+                            for chunk in head.iter_mut() {
+                                built += build_rows_in_chunk(chunk, num_symbols, version);
+                            }
+                            built
+                        }));
+                    }
+                    for handle in handles {
+                        built += handle.join().unwrap();
+                    }
+                });
+                built
+            };
+            inner.stats.rows_built += built;
+        }
         // One batch publication instead of a copy-on-write snapshot per
         // row (which would be quadratic in the number of states).
         self.rebuild_published_parallel(threads);
@@ -2938,8 +2765,8 @@ mod tests {
                 serial.num_live(),
                 "{name}"
             );
-            // The parallel warm resolves successors before committing
-            // them; its graph is the serial one, state for state.
+            // The parallel warm computes on per-worker scratch; its graph
+            // is the serial one, state for state.
             let parallel = ItemSetGraph::new(&g);
             parallel.expand_all_parallel(&g, 3);
             assert_eq!(parallel.render(&g), serial.render(&g), "{name}");
@@ -2952,7 +2779,7 @@ mod tests {
             assert_eq!(
                 parallel.stats().kernel_lookups,
                 stats.kernel_lookups,
-                "{name}: resolved successors still count as lookups"
+                "{name}: the parallel warm interns the same kernels"
             );
         }
     }
@@ -3099,9 +2926,7 @@ mod tests {
         };
         let other = {
             let mut inner = graph.inner.lock().unwrap();
-            let other = graph.intern_kernel_locked(&mut inner, &rekeyed, fp, None);
-            graph.flush_pending_locked(&mut inner, 1);
-            other
+            graph.intern_kernel_locked(&mut inner, &rekeyed, fp)
         };
         assert_eq!(lookup(&graph), Some(other));
 
